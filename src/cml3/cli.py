@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import loop, twowords, words
 from .gf3 import rank_and_kernel
@@ -112,10 +112,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_exit(message: str) -> NoReturn:
+    """Usage or I/O error: one line on stderr, exit status 2."""
+    print(f"cml3: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _config(args) -> RunConfig:
     fmt = "json" if args.json else ("csv" if args.csv else "text")
     if args.json and args.csv:
-        raise SystemExit(2)
+        _error_exit("--json and --csv are mutually exclusive")
+    if getattr(args, "samples", 0) < 0:
+        _error_exit(f"--samples must be >= 0, got {args.samples}")
     return RunConfig(
         command=args.command,
         n=getattr(args, "n", None),
@@ -355,14 +363,20 @@ def main(argv=None) -> int:
         output = "".join(line + "\n" for line in lines)
 
     if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            fh.write(output)
+        try:
+            with open(cfg.out_path, "w") as fh:
+                fh.write(output)
+        except OSError as exc:
+            _error_exit(f"cannot write {cfg.out_path}: {exc.strerror}")
     else:
         sys.stdout.write(output)
 
     if cfg.expect:
-        with open(cfg.expect) as fh:
-            expected = fh.read()
+        try:
+            with open(cfg.expect) as fh:
+                expected = fh.read()
+        except OSError as exc:
+            _error_exit(f"cannot read {cfg.expect}: {exc.strerror}")
         if expected != output:
             print("cml3: output differs from expected file", file=sys.stderr)
             return 1

@@ -124,6 +124,35 @@ def test_expect_mismatch(tmp_path):
     assert proc.returncode == 1
 
 
+def _one_line_usage_error(proc):
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("cml3: ")
+
+
+def test_expect_missing_file_is_usage_error(tmp_path):
+    proc = run_cli("h", "--type", "5,2", "--expect", str(tmp_path / "nope.txt"),
+                   check=False)
+    _one_line_usage_error(proc)
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path):
+    proc = run_cli("dim", "--n", "3", "--out", str(tmp_path / "no" / "out.txt"),
+                   check=False)
+    _one_line_usage_error(proc)
+
+
+def test_negative_samples_is_usage_error():
+    proc = run_cli("verify", "--suite", "cml3", "--n", "2", "--samples", "-5",
+                   check=False)
+    _one_line_usage_error(proc)
+
+
+def test_json_with_csv_is_usage_error():
+    proc = run_cli("dim", "--n", "3", "--json", "--csv", check=False)
+    _one_line_usage_error(proc)
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "out.json"
     proc = run_cli("dim", "--n", "3", "--json", "--out", str(target))

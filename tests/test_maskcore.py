@@ -1,0 +1,133 @@
+"""The numpy bitmask kernel must equal the dict kernels term for term.
+
+Unlike test_kernel_parity.py this module needs no compiled extension: the
+pure dict kernel is always an oracle, and the compiled one joins it when it
+was built.
+"""
+
+import random
+
+import pytest
+
+from cml3 import _kernel, _maskcore
+from cml3 import _purecore as pure
+from cml3._purecore import MAX_DER, key_from_syms, pack_sym
+
+try:
+    from cml3 import _fastcore
+except ImportError:
+    _fastcore = None
+
+ORACLES = [pure] + ([_fastcore] if _fastcore is not None else [])
+
+
+def _random_terms(rng, nterms, nbases=7, maxlen=8, maxder=4, parities=(0, 1)):
+    out = {}
+    while len(out) < nterms:
+        length = rng.randrange(0, maxlen)
+        if length % 2 not in parities:
+            continue
+        bases = sorted(rng.sample(range(nbases), min(length, nbases)))
+        syms = [pack_sym(b, rng.randrange(maxder + 1)) for b in bases]
+        out[key_from_syms(sorted(syms))] = rng.choice((1, 2))
+    return out
+
+
+def _assert_matches(x, y):
+    got = _maskcore.cmul_terms(x, y)
+    assert got is not None
+    for oracle in ORACLES:
+        assert got == oracle.cmul_terms(x, y)
+    assert _kernel.cmul_terms(x, y) == got
+    assert all(type(c) is int and c in (1, 2) for c in got.values())
+
+
+def test_random_inputs_on_both_sides_of_the_cut():
+    rng = random.Random(0)
+    cut = _kernel.MASK_MIN_PAIRS
+    sizes = [(1, 1), (3, 5), (16, cut // 16), (16, cut // 16 + 1),
+             (40, 40), (200, 90), (2, 3 * cut)]
+    for nx, ny in sizes:
+        for _ in range(3):
+            x = _random_terms(rng, nx)
+            y = _random_terms(rng, ny)
+            _assert_matches(x, y)
+            _assert_matches(y, x)
+
+
+def test_blocked_accumulation_with_large_output():
+    # more pairs than one block and more terms than one pending merge
+    rng = random.Random(1)
+    x = _random_terms(rng, 400, nbases=10, maxlen=6, maxder=2)
+    y = _random_terms(rng, 400, nbases=10, maxlen=6, maxder=2)
+    assert len(x) * len(y) > 2 * _maskcore.PENDING_TERMS
+    assert len(pure.cmul_terms(x, y)) > _maskcore.PENDING_TERMS
+    _assert_matches(x, y)
+
+
+def test_unit_and_empty():
+    one = {b"": 1}
+    x = _random_terms(random.Random(2), 30)
+    assert _maskcore.cmul_terms(one, x) == x
+    assert _maskcore.cmul_terms(x, one) == x
+    assert _maskcore.cmul_terms(one, one) == one
+    assert _maskcore.cmul_terms({}, x) == {}
+    assert _maskcore.cmul_terms(x, {}) == {}
+
+
+def test_mixed_parity_elements():
+    rng = random.Random(3)
+    for _ in range(20):
+        x = _random_terms(rng, 25)
+        y = _random_terms(rng, 25)
+        x[b""] = 1  # loop elements have the form 1 + a
+        _assert_matches(x, y)
+
+
+def test_odd_odd_with_successor_present():
+    # s and s+1 together in one monomial: d must skip s, and products of
+    # d(x) with y must see the collision on s+1
+    s0, s1, s2 = pack_sym(0, 1), pack_sym(0, 2), pack_sym(1, 0)
+    x = {key_from_syms([s0, s1, s2]): 1, key_from_syms([s0]): 2,
+         key_from_syms([s2]): 1}
+    y = {key_from_syms([s1]): 1, key_from_syms([s0, s2, pack_sym(1, 1)]): 2,
+         key_from_syms([pack_sym(2, 0)]): 1}
+    _assert_matches(x, y)
+    rng = random.Random(4)
+    for _ in range(20):
+        x = _random_terms(rng, 20, nbases=3, maxder=2, parities=(1,))
+        y = _random_terms(rng, 20, nbases=3, maxder=2, parities=(1,))
+        _assert_matches(x, y)
+
+
+def test_more_than_64_symbols_falls_back(monkeypatch):
+    monkeypatch.setattr(_kernel, "MASK_MIN_PAIRS", 0)
+    # odd x times even y adds no successors: 64 symbols fit, 65 do not
+    x = {key_from_syms([pack_sym(b)]): 1 for b in range(32)}
+    y = {key_from_syms([pack_sym(b), pack_sym(b + 1)]): 2
+         for b in range(32, 64, 2)}
+    _assert_matches(x, y)
+    x[key_from_syms([pack_sym(100)])] = 1
+    assert _maskcore.cmul_terms(x, y) is None
+    assert _kernel.cmul_terms(x, y) == pure.cmul_terms(x, y)
+    # odd-odd: 40 + 30 odd symbols and their successors
+    x = {key_from_syms([pack_sym(b)]): 1 for b in range(40)}
+    y = {key_from_syms([pack_sym(b, 1)]): 2 for b in range(40, 70)}
+    assert _maskcore.cmul_terms(x, y) is None
+    assert _kernel.cmul_terms(x, y) == pure.cmul_terms(x, y)
+
+
+def test_derivation_overflow_raises_exactly_when_dict_kernels_do():
+    top = pack_sym(0, MAX_DER)
+    odd_top = {key_from_syms([top]): 1, key_from_syms([pack_sym(1)]): 1}
+    odd = {key_from_syms([pack_sym(2)]): 1}
+    even = {key_from_syms([pack_sym(2), pack_sym(3)]): 1}
+    even_top = {key_from_syms([top, pack_sym(3)]): 2}
+    for kernel in ORACLES + [_maskcore]:
+        with pytest.raises(OverflowError):
+            kernel.cmul_terms(odd_top, odd)
+        with pytest.raises(OverflowError):
+            kernel.cmul_terms(odd, odd_top)
+    # no odd-odd pair, or MAX_DER only in an even part: no derivation, no raise
+    for x, y in ((odd_top, even), (even, odd_top), (even_top, odd)):
+        _assert_matches(x, y)
