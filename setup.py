@@ -1,18 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
 ext_modules = []
-if os.environ.get("CML3_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            [Extension("cml3._fastcore", ["src/cml3/_fastcore.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except Exception as exc:  # no Cython / no compiler: the pure backend still works
-        print(f"cml3: building without the compiled kernel ({exc})")
+    ext_modules = cythonize(
+        [Extension("cml3._fastcore", ["src/cml3/_fastcore.pyx"])],
+        compiler_directives={"language_level": "3"},
+    )
+except Exception as exc:  # no Cython / no compiler: the pure backend still works
+    print(f"cml3: building without the compiled kernel ({exc})")
 
 # package metadata lives in pyproject.toml; the explicit layout here keeps
 # legacy setuptools (pre-PEP 621) builds working

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every computation is exposed as a subcommand with text, JSON or CSV output;
-identical configuration (including seed and thread count) produces
-byte-identical output.  Progress goes to stderr only.
+identical configuration (including seed) produces byte-identical output.
+Progress goes to stderr only.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import sys
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
-from . import loop, twowords, words
-from .gf3 import rank_and_kernel
+from . import gf3, loop, twowords, words
+# rank_and_kernel stays importable here: perfbench/tracer.py wraps the gf3
+# names at each module that imports them
+from .gf3 import rank_and_kernel  # noqa: F401
 
 
 @dataclass
@@ -29,7 +31,6 @@ class RunConfig:
     mode: Optional[str] = None
     samples: int = 100
     seed: int = 0
-    threads: int = 1
     fmt: str = "text"
     out_path: Optional[str] = None
     expect: Optional[str] = None
@@ -39,8 +40,8 @@ class RunConfig:
     dump: bool = False
 
     def public(self) -> dict:
-        # threads stays out: the same configuration must print identical
-        # bytes for any thread count
+        # what the run computed: the command, its inputs and the seed;
+        # output options stay out
         cfg = {"command": self.command, "samples": self.samples,
                "seed": self.seed}
         for key in ("n", "type_vector", "case", "suite", "mode"):
@@ -53,7 +54,6 @@ class RunConfig:
 def _add_common(p, *, samples=False):
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--csv", action="store_true", help="CSV output")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
     p.add_argument("--expect", metavar="FILE",
                    help="diff output against FILE; exit 1 on mismatch")
@@ -133,7 +133,6 @@ def _config(args) -> RunConfig:
         mode=getattr(args, "mode", None),
         samples=getattr(args, "samples", 100),
         seed=getattr(args, "seed", 0),
-        threads=args.threads,
         fmt=fmt,
         out_path=args.out,
         expect=args.expect,
@@ -149,7 +148,7 @@ def _config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _run_dim(cfg: RunConfig):
-    report = words.dim_Cn(cfg.n, threads=cfg.threads, unsafe=cfg.unsafe_n)
+    report = words.dim_Cn(cfg.n, unsafe=cfg.unsafe_n)
     per_type = [
         {"type": str(tv), "h": h, "c": c} for tv, h, c in report.per_type
     ]
@@ -162,6 +161,18 @@ def _run_dim(cfg: RunConfig):
     return results, True, lines, rows
 
 
+def _check_type_range(tv: words.TypeVector, cfg: RunConfig) -> None:
+    if cfg.unsafe_n:
+        return
+    if (tv.letters > words.MAX_SAFE_LETTERS
+            or tv.weight > words.MAX_SAFE_WEIGHT):
+        _error_exit(
+            f"type {tv} exceeds the supported range "
+            f"(letters <= {words.MAX_SAFE_LETTERS}, "
+            f"weight <= {words.MAX_SAFE_WEIGHT}); pass --unsafe-n to force"
+        )
+
+
 def _run_h(cfg: RunConfig):
     tv = words.TypeVector.parse(cfg.type_vector)
     note = None
@@ -169,15 +180,7 @@ def _run_h(cfg: RunConfig):
         h = 0
         note = "weight even; no words of this type"
     else:
-        if (tv.letters > words.MAX_SAFE_LETTERS
-                or tv.weight > words.MAX_SAFE_WEIGHT) and not cfg.unsafe_n:
-            print(
-                f"cml3: type {tv} exceeds the supported range "
-                f"(letters <= {words.MAX_SAFE_LETTERS}, "
-                f"weight <= {words.MAX_SAFE_WEIGHT}); pass --unsafe-n to force",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
+        _check_type_range(tv, cfg)
         h = words.h_of_type(tv)
     results = {"type": str(tv), "h": h}
     line = f"type={tv} h={h}"
@@ -193,10 +196,7 @@ def _run_cn(cfg: RunConfig):
     if tv.letters > cfg.n:
         c = 0
     else:
-        if (tv.letters > words.MAX_SAFE_LETTERS
-                or tv.weight > words.MAX_SAFE_WEIGHT) and not cfg.unsafe_n:
-            print(f"cml3: type {tv} exceeds the supported range", file=sys.stderr)
-            raise SystemExit(2)
+        _check_type_range(tv, cfg)
         c = words.c_n_of_type(cfg.n, tv)
     results = {"n": cfg.n, "type": str(tv), "c": c}
     return results, True, [f"type={tv} n={cfg.n} c={c}"], [
@@ -214,17 +214,14 @@ def _run_types(cfg: RunConfig):
 
 def _run_verify(cfg: RunConfig):
     if cfg.n > words.MAX_SAFE_N and not cfg.unsafe_n:
-        print(
-            f"cml3: n={cfg.n} exceeds the supported range; pass --unsafe-n",
-            file=sys.stderr,
+        _error_exit(
+            f"n={cfg.n} exceeds the supported range "
+            f"(n <= {words.MAX_SAFE_N}); pass --unsafe-n to force"
         )
-        raise SystemExit(2)
     if cfg.suite == "cml3":
-        report = loop.verify_cml3(cfg.n, cfg.samples, cfg.seed, threads=cfg.threads)
+        report = loop.verify_cml3(cfg.n, cfg.samples, cfg.seed)
     elif cfg.suite == "identities":
-        report = loop.verify_identities(
-            cfg.n, cfg.samples, cfg.seed, threads=cfg.threads
-        )
+        report = loop.verify_identities(cfg.n, cfg.samples, cfg.seed)
     else:
         report = loop.malbos_verify(cfg.n, cfg.samples, cfg.seed)
     passed = loop.report_passed(report)
@@ -293,13 +290,12 @@ def _run_regular(cfg: RunConfig):
         rows_ = words.word_vectors(
             [twowords.to_left_normed(w, 0) for w in report.regular], assign
         )
-        conditional = rank_and_kernel(rows_).rank
+        conditional = gf3.rank_only(rows_)[0]
         results["conditional_bound"] = conditional
         lines.append(f"conditional_bound={conditional}")
     if cfg.cross_check:
         if str(report.case) != "7":
-            print("cml3: --cross-check applies to --case 7", file=sys.stderr)
-            raise SystemExit(2)
+            _error_exit("--cross-check applies to --case 7")
         regular = set(report.regular)
         agree = all(
             (twowords.pattern_predicates_case7(w)[0] == "regular")
@@ -349,8 +345,7 @@ def main(argv=None) -> int:
     try:
         results, passed, lines, rows = _HANDLERS[cfg.command](cfg)
     except ValueError as exc:
-        print(f"cml3: {exc}", file=sys.stderr)
-        return 2
+        _error_exit(str(exc))
 
     if cfg.fmt == "json":
         output = _render(cfg, results, passed)

@@ -13,22 +13,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# Column count above which elimination switches from a dense uint8 matrix
-# to dict-based rows.
-DENSE_MAX_COLS = 4096
-
-
-def gf3(value: int) -> int:
-    return value % 3
-
-
-def gf3_inv(value: int) -> int:
-    """Multiplicative inverse mod 3 (1 and 2 are self-inverse)."""
-    v = value % 3
-    if v == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(3)")
-    return v
-
 
 class SparseRow:
     """A sparse row over GF(3): column key -> nonzero residue.
@@ -101,6 +85,8 @@ class RankResult:
     pivot_keys: tuple
 
 
+
+
 def rank_and_kernel(rows: Iterable[Mapping | SparseRow]) -> RankResult:
     """Echelonize a sparse row system over GF(3).
 
@@ -112,6 +98,40 @@ def rank_and_kernel(rows: Iterable[Mapping | SparseRow]) -> RankResult:
         ascending key order) and the kernel basis in reduced row echelon
         form over the row-index coordinates.
     """
+    normalized = _normalize(rows)
+    nrows = len(normalized)
+    if nrows == 0:
+        return RankResult(0, (), ())
+    keys, aug = _dense(normalized, nrows)
+    ncols = len(keys)
+    aug[:, ncols:] = np.eye(nrows, dtype=np.uint8)
+    rank, pivot_cols = _echelon(aug, ncols, full=False)
+    # rows past the rank are zero on the key columns, so their identity
+    # block holds kernel vectors; reduce them to the unique RREF basis
+    kernel = aug[rank:, ncols:]
+    _echelon(kernel, nrows, full=True)
+    return RankResult(
+        rank,
+        tuple(map(tuple, kernel.tolist())),
+        tuple(keys[c] for c in pivot_cols),
+    )
+
+
+def rank_only(rows: Iterable[Mapping | SparseRow]) -> tuple[int, tuple]:
+    """Rank and pivot keys without kernel bookkeeping.
+
+    Same pivoting rule as rank_and_kernel, but skips the augmented block,
+    which matters when the row count is much larger than the column count.
+    """
+    normalized = [row for row in _normalize(rows) if row]
+    if not normalized:
+        return 0, ()
+    keys, mat = _dense(normalized, 0)
+    rank, pivot_cols = _echelon(mat, len(keys), full=False)
+    return rank, tuple(keys[c] for c in pivot_cols)
+
+
+def _normalize(rows) -> list[dict]:
     normalized = []
     for row in rows:
         items = row.items() if hasattr(row, "items") else row
@@ -121,151 +141,38 @@ def rank_and_kernel(rows: Iterable[Mapping | SparseRow]) -> RankResult:
             if v:
                 cleaned[key] = v
         normalized.append(cleaned)
-
-    nrows = len(normalized)
-    if nrows == 0:
-        return RankResult(0, (), ())
-
-    keys = sorted({k for row in normalized for k in row})
-    if len(keys) <= DENSE_MAX_COLS:
-        rank, pivot_cols, kernel = _eliminate_dense(normalized, keys)
-        pivot_keys = tuple(keys[c] for c in pivot_cols)
-    else:
-        rank, pivot_keys, kernel = _eliminate_sparse(normalized)
-    return RankResult(rank, _canonical_kernel(kernel, nrows), pivot_keys)
+    return normalized
 
 
-def rank_only(rows: Iterable[Mapping | SparseRow]) -> tuple[int, tuple]:
-    """Rank and pivot keys without kernel bookkeeping.
-
-    Same pivoting rule as rank_and_kernel, but skips the augmented block,
-    which matters when the row count is much larger than the column count.
-    """
-    normalized = []
-    for row in rows:
-        items = row.items() if hasattr(row, "items") else row
-        cleaned = {}
-        for key, value in items:
-            v = value % 3
-            if v:
-                cleaned[key] = v
-        if cleaned:
-            normalized.append(cleaned)
-    if not normalized:
-        return 0, ()
-
-    keys = sorted({k for row in normalized for k in row})
+def _dense(rows: list[dict], extra: int):
+    """Sorted column keys and a uint8 matrix with ``extra`` zero columns."""
+    keys = sorted({k for row in rows for k in row})
     col_of = {k: i for i, k in enumerate(keys)}
-    nrows, ncols = len(normalized), len(keys)
-    mat = np.zeros((nrows, ncols), dtype=np.uint8)
-    for i, row in enumerate(normalized):
-        for k, v in row.items():
-            mat[i, col_of[k]] = v
-
-    rank = 0
-    pivot_cols = []
-    for col in range(ncols):
-        candidates = np.nonzero(mat[rank:, col])[0]
-        if candidates.size == 0:
-            continue
-        piv = rank + int(candidates[0])
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        if mat[rank, col] == 2:
-            mat[rank] = (mat[rank] * 2) % 3
-        below = rank + 1 + np.nonzero(mat[rank + 1 :, col])[0]
-        if below.size:
-            factors = (3 - mat[below, col].astype(np.int64)) % 3
-            mat[below] = (mat[below] + np.outer(factors, mat[rank])) % 3
-        pivot_cols.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, tuple(keys[c] for c in pivot_cols)
-
-
-def _eliminate_dense(rows: list[dict], keys: list):
-    col_of = {k: i for i, k in enumerate(keys)}
-    nrows, ncols = len(rows), len(keys)
-    aug = np.zeros((nrows, ncols + nrows), dtype=np.uint8)
+    mat = np.zeros((len(rows), len(keys) + extra), dtype=np.uint8)
     for i, row in enumerate(rows):
         for k, v in row.items():
-            aug[i, col_of[k]] = v
-        aug[i, ncols + i] = 1
+            mat[i, col_of[k]] = v
+    return keys, mat
 
+
+def _echelon(mat: np.ndarray, ncols: int, full: bool) -> tuple[int, list[int]]:
+    """Row-reduce ``mat`` in place, pivoting on its first ``ncols`` columns.
+
+    Columns are scanned left to right; each pivot is the topmost remaining
+    nonzero entry, swapped up and scaled to 1.  The forward pass clears the
+    entries below each pivot, which is all the rank needs; ``full`` also
+    clears those above, which yields reduced row echelon form.  Row
+    operations act on whole rows, so columns past ``ncols`` record them.
+
+    Returns the rank and the pivot columns.
+    """
+    nrows = mat.shape[0]
     rank = 0
     pivot_cols = []
     for col in range(ncols):
-        candidates = np.nonzero(aug[rank:, col])[0]
-        if candidates.size == 0:
-            continue
-        piv = rank + int(candidates[0])
-        if piv != rank:
-            aug[[rank, piv]] = aug[[piv, rank]]
-        if aug[rank, col] == 2:
-            aug[rank] = (aug[rank] * 2) % 3
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            factors = (3 - aug[others, col].astype(np.int64)) % 3
-            aug[others] = (aug[others] + np.outer(factors, aug[rank])) % 3
-        pivot_cols.append(col)
-        rank += 1
         if rank == nrows:
             break
-
-    kernel = [tuple(int(v) for v in aug[i, ncols:]) for i in range(rank, nrows)]
-    return rank, pivot_cols, kernel
-
-
-def _eliminate_sparse(rows: list[dict]):
-    nrows = len(rows)
-    pivots: dict = {}  # lead key -> (row dict, combo dict)
-    kernel = []
-    for idx, row in enumerate(rows):
-        cur = dict(row)
-        combo = {idx: 1}
-        while cur:
-            lead = min(cur)
-            hit = pivots.get(lead)
-            if hit is None:
-                inv = gf3_inv(cur[lead])
-                if inv != 1:
-                    cur = {k: (v * inv) % 3 for k, v in cur.items()}
-                    combo = {k: (v * inv) % 3 for k, v in combo.items()}
-                pivots[lead] = (cur, combo)
-                break
-            prow, pcombo = hit
-            factor = (3 - cur[lead]) % 3
-            for k, v in prow.items():
-                nv = (cur.get(k, 0) + factor * v) % 3
-                if nv:
-                    cur[k] = nv
-                elif k in cur:
-                    del cur[k]
-            for k, v in pcombo.items():
-                nv = (combo.get(k, 0) + factor * v) % 3
-                if nv:
-                    combo[k] = nv
-                elif k in combo:
-                    del combo[k]
-        else:
-            vec = [0] * nrows
-            for k, v in combo.items():
-                vec[k] = v
-            kernel.append(tuple(vec))
-    rank = len(pivots)
-    return rank, tuple(sorted(pivots)), kernel
-
-
-def _canonical_kernel(kernel: list[tuple[int, ...]], width: int):
-    """Reduce kernel vectors to their unique RREF basis."""
-    if not kernel:
-        return ()
-    mat = np.array(kernel, dtype=np.uint8) % 3
-    rank = 0
-    for col in range(width):
-        candidates = np.nonzero(mat[rank:, col])[0]
+        candidates = np.flatnonzero(mat[rank:, col])
         if candidates.size == 0:
             continue
         piv = rank + int(candidates[0])
@@ -273,12 +180,15 @@ def _canonical_kernel(kernel: list[tuple[int, ...]], width: int):
             mat[[rank, piv]] = mat[[piv, rank]]
         if mat[rank, col] == 2:
             mat[rank] = (mat[rank] * 2) % 3
-        others = np.nonzero(mat[:, col])[0]
+        first = 0 if full else rank + 1
+        others = first + np.flatnonzero(mat[first:, col])
         others = others[others != rank]
         if others.size:
-            factors = (3 - mat[others, col].astype(np.int64)) % 3
-            mat[others] = (mat[others] + np.outer(factors, mat[rank])) % 3
+            # the pivot row is zero left of col, so only col: changes
+            factors = 3 - mat[others, col]
+            mat[others, col:] = (
+                mat[others, col:] + np.outer(factors, mat[rank, col:])
+            ) % 3
+        pivot_cols.append(col)
         rank += 1
-        if rank == mat.shape[0]:
-            break
-    return tuple(tuple(int(v) for v in mat[i]) for i in range(rank))
+    return rank, pivot_cols

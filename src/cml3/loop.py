@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -142,25 +141,12 @@ def report_passed(report: Sequence[dict]) -> bool:
     return all(entry["pass"] for entry in report)
 
 
-def _failures_over(labeled, check, threads):
+def _failures_over(labeled, check):
     """Labels failing a predicate, preserving instantiation order."""
-    if threads > 1 and len(labeled) > 1:
-        chunk = max(1, (len(labeled) + threads - 1) // threads)
-        parts = [labeled[i : i + chunk] for i in range(0, len(labeled), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(
-                    lambda part: [lab for lab, x in part if not check(x)],
-                    parts,
-                )
-            )
-        return [lab for part in chunks for lab in part]
     return [lab for lab, x in labeled if not check(x)]
 
 
-def verify_cml3(
-    n: int, samples: int = 100, seed: int = 0, threads: int = 1
-) -> list[dict]:
+def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     """Check the loop axioms on generator triples plus seeded loop words.
 
     Covers commutativity, the Moufang identity, exponent 3, and the
@@ -186,7 +172,7 @@ def verify_cml3(
 
     report.append(_entry(
         "commutativity", len(labeled),
-        _failures_over(labeled, commutes, threads),
+        _failures_over(labeled, commutes),
     ))
 
     def moufang(t):
@@ -197,7 +183,7 @@ def verify_cml3(
         return left.value == right.value
 
     report.append(_entry(
-        "moufang", len(labeled), _failures_over(labeled, moufang, threads)
+        "moufang", len(labeled), _failures_over(labeled, moufang)
     ))
 
     seen_elements = {}
@@ -212,7 +198,7 @@ def verify_cml3(
 
     report.append(_entry(
         "exponent3", len(elements),
-        _failures_over(elements, cubes_to_one, threads),
+        _failures_over(elements, cubes_to_one),
     ))
 
     def assoc_cubes_to_one(t):
@@ -221,7 +207,7 @@ def verify_cml3(
 
     report.append(_entry(
         "associator_exponent3", len(labeled),
-        _failures_over(labeled, assoc_cubes_to_one, threads),
+        _failures_over(labeled, assoc_cubes_to_one),
     ))
 
     return report
@@ -248,9 +234,7 @@ def _chain(head: int, pairs) -> GElement:
     return eval_word(LeftNormedWord(head, tuple(pairs)), _ident)
 
 
-def verify_identities(
-    n: int, samples: int = 500, seed: int = 0, threads: int = 1
-) -> list[dict]:
+def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     """Exact checks of the chain identities in the twisted algebra.
 
     Each identity is evaluated on every generator tuple when the count
@@ -263,7 +247,7 @@ def verify_identities(
         tuples, mode = _instantiation_tuples(n, arity, samples, seed)
         labeled = [(f"{mode}{t}", t) for t in tuples]
         report.append(_entry(
-            identity, len(tuples), _failures_over(labeled, check, threads)
+            identity, len(tuples), _failures_over(labeled, check)
         ))
 
     # one-slot chain ((x,y,a),a,z): skew-symmetric in x, y, z

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from . import _kernel
-from .gf3 import SparseRow, rank_and_kernel
+from . import _kernel, gf3
+# rank_and_kernel stays importable here: perfbench/tracer.py wraps the gf3
+# names at each module that imports them
+from .gf3 import SparseRow, rank_and_kernel  # noqa: F401
 from .grassmann import GElement, Monomial
 from ._kernel import key_from_syms, pack_sym
 
@@ -252,17 +253,17 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
     return list(frontier.values())
 
 
-@lru_cache(maxsize=None)
-def _h_cached(counts: tuple[int, ...]) -> int:
-    tv = TypeVector(counts)
-    if tv.weight % 2 == 0:
-        return 0
-    if tv.letters == 0:
-        return 0
-    values = _type_word_values(counts, tuple(range(tv.letters)))
+def _span_rank(counts: tuple[int, ...], gens: Sequence[int]) -> int:
+    values = _type_word_values(counts, gens)
     if not values:
         return 0
-    return rank_and_kernel([SparseRow(v) for v in values]).rank
+    # looked up on the module, so a wrapper installed on gf3.rank_only sees it
+    return gf3.rank_only(values)[0]
+
+
+@lru_cache(maxsize=None)
+def _h_cached(counts: tuple[int, ...]) -> int:
+    return _span_rank(counts, tuple(range(TypeVector(counts).letters)))
 
 
 def h_of_type(
@@ -280,12 +281,7 @@ def h_of_type(
         return 0
     if assign is None:
         return _h_cached(tv.counts)
-    values = _type_word_values(
-        tv.counts, tuple(assign(i) for i in range(tv.letters))
-    )
-    if not values:
-        return 0
-    return rank_and_kernel([SparseRow(v) for v in values]).rank
+    return _span_rank(tv.counts, tuple(assign(i) for i in range(tv.letters)))
 
 
 def _as_type(a) -> TypeVector:
@@ -356,18 +352,13 @@ def enumerate_types(n: int, *, unsafe: bool = False) -> list[TypeVector]:
     return [tv for tv in candidate_types(n) if h_of_type(tv) > 0]
 
 
-def dim_Cn(n: int, *, threads: int = 1, unsafe: bool = False) -> DimReport:
+def dim_Cn(n: int, *, unsafe: bool = False) -> DimReport:
     """Dimension of the span of all 3-words on n generators, by type."""
     _check_n(n, unsafe)
-    candidates = candidate_types(n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hs = list(pool.map(h_of_type, candidates))
-    else:
-        hs = [h_of_type(tv) for tv in candidates]
     per_type = []
     total = 0
-    for tv, h in zip(candidates, hs):
+    for tv in candidate_types(n):
+        h = h_of_type(tv)
         if h == 0:
             logger.info("type %s has empty span", tv)
             continue

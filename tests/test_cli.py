@@ -48,8 +48,10 @@ def test_h_even_weight_note():
 
 
 def test_h_over_cap_is_usage_error():
-    proc = run_cli("h", "--type", "9,9", check=False)
-    assert proc.returncode == 2
+    for args in (("h", "--type", "9,9"), ("cn", "--n", "9", "--type", "9")):
+        proc = run_cli(*args, check=False)
+        _one_line_usage_error(proc)
+        assert "--unsafe-n" in proc.stderr, args
 
 
 def test_cn_command():
@@ -181,12 +183,12 @@ def test_golden_files():
     assert proc.returncode == 0
 
 
-def test_json_deterministic_across_threads():
+def test_json_deterministic_across_runs():
     for args in (
         ("dim", "--n", "5"),
         ("types", "--n", "6"),
         ("verify", "--suite", "identities", "--n", "5", "--samples", "20"),
     ):
-        a = run_cli(*args, "--json", "--threads", "1").stdout
-        b = run_cli(*args, "--json", "--threads", "8").stdout
+        a = run_cli(*args, "--json").stdout
+        b = run_cli(*args, "--json").stdout
         assert a == b, args

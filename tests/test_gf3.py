@@ -1,8 +1,7 @@
+import itertools
+import math
 import random
 
-import pytest
-
-from cml3 import gf3
 from cml3.gf3 import RankResult, SparseRow, rank_and_kernel, rank_only
 
 
@@ -73,15 +72,52 @@ def test_rank_shuffle_invariant_and_kernel_exact():
             assert all(v == 0 for v in combo.values())
 
 
-def test_dense_and_sparse_paths_agree(monkeypatch):
+def test_brute_force_oracle():
+    # every coefficient vector on <= 7 rows is tried: the ones that
+    # recombine the rows to zero are the kernel, and the ones that vanish on
+    # the columns up to c count the rank of that column prefix, which rises
+    # exactly at the pivot columns
     rng = random.Random(1)
-    for _ in range(25):
+    for _ in range(30):
         rows = _random_rows(rng, rng.randrange(1, 8), rng.randrange(1, 6))
-        dense = rank_and_kernel(rows)
-        monkeypatch.setattr(gf3, "DENSE_MAX_COLS", 0)
-        sparse = rank_and_kernel(rows)
-        monkeypatch.undo()
-        assert dense == sparse
+        nrows = len(rows)
+        cols = sorted({k for r in rows for k in r})
+        res = rank_and_kernel(rows)
+
+        combos = {}
+        for vec in itertools.product(range(3), repeat=nrows):
+            combos[vec] = [
+                sum(coeff * row.get(c, 0) for coeff, row in zip(vec, rows)) % 3
+                for c in cols
+            ]
+        zero = {vec for vec, out in combos.items() if not any(out)}
+        assert len(zero) == 3 ** (nrows - res.rank)
+
+        span = set()
+        for coeffs in itertools.product(range(3), repeat=len(res.kernel_basis)):
+            span.add(tuple(
+                sum(a * b[i] for a, b in zip(coeffs, res.kernel_basis)) % 3
+                for i in range(nrows)
+            ))
+        assert zero <= span
+
+        # the basis is the canonical one: reduced row echelon form
+        leads = [next(i for i, v in enumerate(b) if v) for b in res.kernel_basis]
+        assert leads == sorted(set(leads))
+        for b, lead in zip(res.kernel_basis, leads):
+            assert b[lead] == 1
+            assert [o[lead] for o in res.kernel_basis].count(0) == len(leads) - 1
+
+        pivots = []
+        prev_rank = 0
+        for j, c in enumerate(cols):
+            vanish = sum(1 for out in combos.values() if not any(out[: j + 1]))
+            prefix_rank = nrows - round(math.log(vanish, 3))
+            if prefix_rank > prev_rank:
+                pivots.append(c)
+            prev_rank = prefix_rank
+        assert res.pivot_keys == tuple(pivots)
+        assert rank_only(rows) == (res.rank, res.pivot_keys)
 
 
 def test_rank_only_matches_rank_and_kernel():
@@ -92,10 +128,3 @@ def test_rank_only_matches_rank_and_kernel():
         rank, pivots = rank_only(rows)
         assert rank == full.rank
         assert pivots == full.pivot_keys
-
-
-def test_gf3_inverse():
-    assert gf3.gf3_inv(1) == 1
-    assert gf3.gf3_inv(2) == 2
-    with pytest.raises(ZeroDivisionError):
-        gf3.gf3_inv(3)
