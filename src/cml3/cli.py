@@ -223,6 +223,12 @@ def _run_verify(cfg: RunConfig):
     elif cfg.suite == "identities":
         report = loop.verify_identities(cfg.n, cfg.samples, cfg.seed)
     else:
+        if cfg.n > loop.MALBOS_MAX_N:
+            # the config reports the n the suite ran on
+            print(f"cml3: the malbos suite runs on at most "
+                  f"{loop.MALBOS_MAX_N} generators; using --n "
+                  f"{loop.MALBOS_MAX_N}", file=sys.stderr)
+            cfg.n = loop.MALBOS_MAX_N
         report = loop.malbos_verify(cfg.n, cfg.samples, cfg.seed)
     passed = loop.report_passed(report)
     results = {"suite": cfg.suite, "checks": report}

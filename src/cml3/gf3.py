@@ -131,6 +131,22 @@ def rank_only(rows: Iterable[Mapping | SparseRow]) -> tuple[int, tuple]:
     return rank, tuple(keys[c] for c in pivot_cols)
 
 
+def row_basis(rows: Iterable[Mapping | SparseRow]) -> list[dict]:
+    """Echelon basis of the span of a sparse row system.
+
+    The rows of a forward pass, in pivot order: each leads with a 1 at its
+    pivot key, and the pivots are the ones rank_only reports.
+    """
+    normalized = [row for row in _normalize(rows) if row]
+    if not normalized:
+        return []
+    keys, mat = _dense(normalized, 0)
+    rank, _ = _echelon(mat, len(keys), full=False)
+    return [
+        {k: v for k, v in zip(keys, row) if v} for row in mat[:rank].tolist()
+    ]
+
+
 def _normalize(rows) -> list[dict]:
     normalized = []
     for row in rows:

@@ -472,9 +472,16 @@ def _sample_odd(rng: random.Random, n: int) -> GElement:
     return out
 
 
+# The pair model is sampled on at most this many generators.
+MALBOS_MAX_N = 6
+
+
 def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
-    """Commutativity, Moufang and exponent 3 for the pair model."""
-    n = min(n, 6)
+    """Commutativity, Moufang and exponent 3 for the pair model.
+
+    Runs on min(n, MALBOS_MAX_N) generators.
+    """
+    n = min(n, MALBOS_MAX_N)
     rng = random.Random(seed)
     pairs = [MALBOS_ONE]
     pairs.extend(

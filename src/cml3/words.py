@@ -9,10 +9,15 @@ The type vector of a word counts how many letters appear exactly once,
 twice, three times, ...  The dimension of the span of all words of a given
 type is computed by enumerating left-normed words with a fixed head letter
 (any word can be rewritten in that shape), evaluating them exactly, and
-taking the rank over GF(3).  Enumeration walks a prefix tree: states that
-evaluate to zero are dropped, and states with proportional values and equal
-remaining letter multisets are merged, neither of which can change the rank
-of the final span.
+taking the rank over GF(3).  Enumeration walks a prefix tree one letter
+pair per layer.  After each layer the states that share a remaining letter
+multiset are replaced by an echelon basis of their span: every completion
+of such a state applies the same GF(3)-linear maps, so the final span does
+not change (the proof is in ``_type_word_values``).  Inside the walk a
+monomial is a Python int with one bit per symbol, at ``slot * W + der``:
+generator slots go in ascending generator order, and each is ``W`` bits
+wide, room for every derivation order a word of the type can reach plus a
+guard bit.  Bit order is symbol order, so signs match the kernel's.
 """
 
 from __future__ import annotations
@@ -202,55 +207,139 @@ def _eval_tree(tree, assign) -> dict:
     return _kernel.derive_terms(product)
 
 
-def _canonical_value_key(terms: dict) -> bytes:
-    items = sorted(terms.items())
-    if items[0][1] == 2:
-        items = [(k, (2 * c) % 3) for k, c in items]
-    return b"".join(k + bytes((c,)) for k, c in items)
-
-
 def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict]:
-    """Values of all canonical left-normed words of one type.
+    """A basis of the span of all canonical left-normed words of one type.
 
     Words share the fixed head letter 0 (lowest multiplicity under the
     canonical letter numbering); in-pair order is fixed ascending since a
     swap only flips the sign; equal-letter pairs evaluate to zero and are
-    skipped.  Prefix states are deduplicated up to scalar.
+    skipped.  Letter ``i`` is realised by generator ``gens[i]``.
+
+    The enumeration walks the prefix tree one letter pair per layer.  After
+    each layer the stepped states are grouped by their remaining letter
+    multiset, and each group is replaced by an echelon basis of its span
+    (``gf3.row_basis``).  This cannot change the final span: every
+    completion of a state with remaining multiset ``rem`` applies the same
+    sequence of maps ``v -> d(v ^ a ^ b)``, one per remaining pair, and each
+    map is GF(3)-linear.  So the completions of a set S of states span the
+    image of span(S) under those maps, and any basis of span(S) completes to
+    the same final span.  Dropping zero states and merging states equal up
+    to scalar are special cases.
+
+    Inside the enumeration a monomial is a Python int with bit
+    ``slot * W + der`` set for each symbol, where the slot of a generator
+    is its rank among the distinct values of ``gens`` and
+    ``W = npairs + 2``.  Bit order is then symbol order, so signs and
+    coefficients equal those of ``_kernel.assoc_step``.  A state after k
+    steps has derivation orders <= k <= npairs, so the top bit of a slot
+    stays clear; ``_mask_step`` raises ``OverflowError`` if it ever gets
+    set instead of spilling into the next slot.  The final basis is
+    returned with bytes monomial keys, as the kernel writes them.
     """
     tv = TypeVector(counts)
     mult = tv.multiplicities()
     nletters = len(mult)
-    syms = [pack_sym(g) for g in gens]
+    for gen in gens:
+        pack_sym(gen)  # range check, as the kernel would make it
+    order = sorted(set(gens))
+    npairs = (tv.weight - 1) // 2
+    width = npairs + 2
+    slot_bit = {gen: i * width for i, gen in enumerate(order)}
+    bits = [slot_bit[gen] for gen in gens]
+    top = sum(1 << (i * width + width - 1) for i in range(len(order)))
     remaining = list(mult)
     remaining[0] -= 1
-    npairs = (tv.weight - 1) // 2
 
-    start_val = {key_from_syms((syms[0],)): 1}
-    frontier = {
-        (_canonical_value_key(start_val), tuple(remaining)): start_val
-    }
+    frontier = {tuple(remaining): [{1 << bits[0]: 1}]}
+    derivs: dict = {}
     for _ in range(npairs):
         nxt: dict = {}
-        for (_, rem), value in frontier.items():
+        for rem, values in frontier.items():
             for a in range(nletters):
                 if not rem[a]:
                     continue
                 for b in range(a + 1, nletters):
                     if not rem[b]:
                         continue
-                    stepped = _kernel.assoc_step(value, syms[a], syms[b])
+                    stepped = [
+                        _mask_step(v, bits[a], bits[b], top, derivs)
+                        for v in values
+                    ]
+                    stepped = [v for v in stepped if v]
                     if not stepped:
                         continue
                     rem2 = list(rem)
                     rem2[a] -= 1
                     rem2[b] -= 1
-                    state = (_canonical_value_key(stepped), tuple(rem2))
-                    if state not in nxt:
-                        nxt[state] = stepped
-        frontier = nxt
-        if not frontier:
+                    nxt.setdefault(tuple(rem2), []).extend(stepped)
+        if not nxt:
             return []
-    return list(frontier.values())
+        frontier = {
+            rem: gf3.row_basis(vals) if len(vals) > 1 else vals
+            for rem, vals in nxt.items()
+        }
+    return [
+        _from_masks(value, order, width)
+        for values in frontier.values()
+        for value in values
+    ]
+
+
+def _mask_step(terms: dict, abit: int, bbit: int, top: int, derivs: dict) -> dict:
+    """``d(v ^ a ^ b)``: the kernel's ``assoc_step`` on int-bitmask monomials.
+
+    ``terms`` maps monomials to coefficients in {1, 2}; ``abit`` and
+    ``bbit`` are the bits of the two underived letters; ``top`` holds the
+    top bit of every slot.  ``derivs`` memoises the Leibniz
+    summands of each monomial; a summand moves a set bit whose successor is
+    clear up by one, which is ``m + low`` for its lowest bit ``low``.
+    """
+    out: dict = {}
+    abit_mask = 1 << abit
+    bbit_mask = 1 << bbit
+    for m, c in terms.items():
+        if m & abit_mask:
+            continue
+        m1 = m | abit_mask
+        if m1 & bbit_mask:
+            continue
+        m2 = m1 | bbit_mask
+        # one transposition per symbol above an inserted one
+        if ((m >> abit).bit_count() + (m1 >> bbit).bit_count()) & 1:
+            c = 3 - c
+        summands = derivs.get(m2)
+        if summands is None:
+            summands = []
+            rest = m2
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not m2 & (low << 1):
+                    summands.append(m2 + low)
+            if any(s & top for s in summands):
+                raise OverflowError("derivation order overflow")
+            derivs[m2] = summands
+        for s in summands:
+            v = (out.get(s, 0) + c) % 3
+            if v:
+                out[s] = v
+            else:
+                del out[s]
+    return out
+
+
+def _from_masks(terms: dict, order: Sequence[int], width: int) -> dict:
+    """Bytes-keyed element of an int-bitmask one (see _type_word_values)."""
+    out = {}
+    for m, c in terms.items():
+        syms = []
+        while m:
+            low = m & -m
+            bit = low.bit_length() - 1
+            syms.append(pack_sym(order[bit // width], bit % width))
+            m ^= low
+        out[key_from_syms(syms)] = c
+    return out
 
 
 def _span_rank(counts: tuple[int, ...], gens: Sequence[int]) -> int:

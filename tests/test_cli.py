@@ -126,6 +126,21 @@ def test_expect_mismatch(tmp_path):
     assert proc.returncode == 1
 
 
+def test_malbos_reports_effective_n():
+    args = ("verify", "--suite", "malbos", "--samples", "20", "--json")
+    capped = run_cli(*args, "--n", "7")
+    at_cap = run_cli(*args, "--n", "6")
+    # the suite runs on 6 generators either way, and --n 7 says so
+    assert json.loads(capped.stdout)["config"]["n"] == 6
+    assert capped.stdout == at_cap.stdout
+    assert len(capped.stderr.splitlines()) == 1
+    assert capped.stderr.startswith("cml3: ") and "6" in capped.stderr
+    assert at_cap.stderr == ""
+    below = run_cli(*args, "--n", "4")
+    assert json.loads(below.stdout)["config"]["n"] == 4
+    assert below.stderr == ""
+
+
 def _one_line_usage_error(proc):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

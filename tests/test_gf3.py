@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 
-from cml3.gf3 import RankResult, SparseRow, rank_and_kernel, rank_only
+from cml3.gf3 import RankResult, SparseRow, rank_and_kernel, rank_only, row_basis
 
 
 def test_unit_rows_independent():
@@ -118,6 +118,19 @@ def test_brute_force_oracle():
             prev_rank = prefix_rank
         assert res.pivot_keys == tuple(pivots)
         assert rank_only(rows) == (res.rank, res.pivot_keys)
+
+        # row_basis spans the row space, one row per pivot, led by a 1 there
+        basis = row_basis(rows)
+        assert [min(b) for b in basis] == list(res.pivot_keys)
+        assert all(b[min(b)] == 1 for b in basis)
+        basis_span = {
+            tuple(
+                sum(a * b.get(c, 0) for a, b in zip(coeffs, basis)) % 3
+                for c in cols
+            )
+            for coeffs in itertools.product(range(3), repeat=len(basis))
+        }
+        assert basis_span == {tuple(out) for out in combos.values()}
 
 
 def test_rank_only_matches_rank_and_kernel():

@@ -49,21 +49,3 @@ def test_derivation_overflow_raises_in_both():
     with pytest.raises(OverflowError):
         fast.derive_terms({key: 1})
 
-
-def test_h_table_identical_across_backends(monkeypatch):
-    # run the type enumeration against each backend explicitly
-    from cml3 import _kernel
-    from cml3.words import _type_word_values
-
-    for counts in ((5,), (5, 1), (7,), (3, 2)):
-        values = {}
-        for impl in (pure, fast):
-            monkeypatch.setattr(_kernel, "assoc_step", impl.assoc_step)
-            letters = sum(counts)
-            values[impl.__name__] = _type_word_values(
-                counts, tuple(range(letters))
-            )
-        monkeypatch.undo()
-        a = sorted(map(sorted, (v.items() for v in values["cml3._purecore"])))
-        b = sorted(map(sorted, (v.items() for v in values["cml3._fastcore"])))
-        assert a == b
