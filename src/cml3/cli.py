@@ -124,6 +124,8 @@ def _config(args) -> RunConfig:
         _error_exit("--json and --csv are mutually exclusive")
     if getattr(args, "samples", 0) < 0:
         _error_exit(f"--samples must be >= 0, got {args.samples}")
+    if getattr(args, "n", 1) < 1:
+        _error_exit("n must be at least 1")
     return RunConfig(
         command=args.command,
         n=getattr(args, "n", None),

@@ -1,17 +1,29 @@
 """Exact linear algebra over the three-element field.
 
-Rows are sparse mappings from orderable column keys to nonzero residues
-mod 3.  Rank and kernel come from deterministic Gaussian elimination with
+Rows are sparse mappings from orderable column keys to residues mod 3.
+Rank and kernel come from deterministic Gaussian elimination with
 smallest-key pivoting and augmented bookkeeping, so every kernel vector is
 an exact certificate: recombining the input rows with it gives zero.
+
+The eliminator is bitsliced (Boothby & Bradshaw, "Bitslicing and the
+method of four Russians over larger finite fields", arXiv:0901.1413).
+Columns are numbered in ascending key order, and a row is a pair of Python
+ints ``(a1, a2)``, its bit-planes: bit i of ``a1`` is set when column i
+holds 1, bit i of ``a2`` when it holds 2.  The lowest set bit of
+``a1 | a2`` is the row's smallest key, its lead.  Two rows add as
+
+    t = (a1 | b2) ^ (a2 | b1)
+    (a1, a2) + (b1, b2) = ((a2 | b2) ^ t, (a1 | b1) ^ t)
+
+and a row times 2 is the row with its planes swapped, so subtracting a row
+adds it swapped.  Python ints have no fixed width, so a row of any length
+is one value and no column count needs a special case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-import numpy as np
 
 
 class SparseRow:
@@ -85,8 +97,6 @@ class RankResult:
     pivot_keys: tuple
 
 
-
-
 def rank_and_kernel(rows: Iterable[Mapping | SparseRow]) -> RankResult:
     """Echelonize a sparse row system over GF(3).
 
@@ -98,113 +108,113 @@ def rank_and_kernel(rows: Iterable[Mapping | SparseRow]) -> RankResult:
         ascending key order) and the kernel basis in reduced row echelon
         form over the row-index coordinates.
     """
-    normalized = _normalize(rows)
-    nrows = len(normalized)
+    keys, planes = _planes(rows)
+    nrows = len(planes)
     if nrows == 0:
         return RankResult(0, (), ())
-    keys, aug = _dense(normalized, nrows)
     ncols = len(keys)
-    aug[:, ncols:] = np.eye(nrows, dtype=np.uint8)
-    rank, pivot_cols = _echelon(aug, ncols, full=False)
-    # rows past the rank are zero on the key columns, so their identity
-    # block holds kernel vectors; reduce them to the unique RREF basis
-    kernel = aug[rank:, ncols:]
-    _echelon(kernel, nrows, full=True)
+    # bit ncols + i tags row i, as the identity block of [rows | I] would
+    basis = _echelon(
+        (a1 | 1 << (ncols + i), a2) for i, (a1, a2) in enumerate(planes)
+    )
+    pivots = sorted(lead for lead in basis if lead.bit_length() <= ncols)
+    # basis rows that lead past the key columns are zero on them, so their
+    # tags are kernel vectors; a second pass in descending lead order puts
+    # them in the unique RREF
+    kernel = _echelon(
+        (a1 >> ncols, a2 >> ncols)
+        for lead, (a1, a2) in sorted(basis.items(), reverse=True)
+        if lead.bit_length() > ncols
+    )
     return RankResult(
-        rank,
-        tuple(map(tuple, kernel.tolist())),
-        tuple(keys[c] for c in pivot_cols),
+        len(pivots),
+        tuple(_coefficients(kernel[lead], nrows) for lead in sorted(kernel)),
+        tuple(keys[lead.bit_length() - 1] for lead in pivots),
     )
 
 
 def rank_only(rows: Iterable[Mapping | SparseRow]) -> tuple[int, tuple]:
     """Rank and pivot keys without kernel bookkeeping.
 
-    Same pivoting rule as rank_and_kernel, but skips the augmented block,
-    which matters when the row count is much larger than the column count.
+    Same pivoting rule as rank_and_kernel, but skips the row tags, which
+    matters when the row count is much larger than the column count.
     """
-    normalized = [row for row in _normalize(rows) if row]
-    if not normalized:
-        return 0, ()
-    keys, mat = _dense(normalized, 0)
-    rank, pivot_cols = _echelon(mat, len(keys), full=False)
-    return rank, tuple(keys[c] for c in pivot_cols)
+    keys, planes = _planes(rows)
+    leads = sorted(_echelon(planes))
+    return len(leads), tuple(keys[lead.bit_length() - 1] for lead in leads)
 
 
 def row_basis(rows: Iterable[Mapping | SparseRow]) -> list[dict]:
     """Echelon basis of the span of a sparse row system.
 
-    The rows of a forward pass, in pivot order: each leads with a 1 at its
-    pivot key, and the pivots are the ones rank_only reports.
+    One row per pivot, in pivot order: each leads with a 1 at its pivot
+    key, and the pivots are the ones rank_only reports.
     """
-    normalized = [row for row in _normalize(rows) if row]
-    if not normalized:
-        return []
-    keys, mat = _dense(normalized, 0)
-    rank, _ = _echelon(mat, len(keys), full=False)
-    return [
-        {k: v for k, v in zip(keys, row) if v} for row in mat[:rank].tolist()
-    ]
+    keys, planes = _planes(rows)
+    basis = _echelon(planes)
+    out = []
+    for lead in sorted(basis):
+        a1, a2 = basis[lead]
+        row = {}
+        rest = a1 | a2
+        while rest:
+            low = rest & -rest
+            row[keys[low.bit_length() - 1]] = 1 if a1 & low else 2
+            rest ^= low
+        out.append(row)
+    return out
 
 
-def _normalize(rows) -> list[dict]:
-    normalized = []
+def _planes(rows) -> tuple[list, list[tuple[int, int]]]:
+    """Sorted column keys and the bit-planes of each row, in input order."""
+    rows = [row if hasattr(row, "items") else dict(row) for row in rows]
+    keys = sorted(set().union(*rows))
+    bit = {k: 1 << i for i, k in enumerate(keys)}
+    planes = []
     for row in rows:
-        items = row.items() if hasattr(row, "items") else row
-        cleaned = {}
-        for key, value in items:
-            v = value % 3
-            if v:
-                cleaned[key] = v
-        normalized.append(cleaned)
-    return normalized
-
-
-def _dense(rows: list[dict], extra: int):
-    """Sorted column keys and a uint8 matrix with ``extra`` zero columns."""
-    keys = sorted({k for row in rows for k in row})
-    col_of = {k: i for i, k in enumerate(keys)}
-    mat = np.zeros((len(rows), len(keys) + extra), dtype=np.uint8)
-    for i, row in enumerate(rows):
+        a1 = a2 = 0
         for k, v in row.items():
-            mat[i, col_of[k]] = v
-    return keys, mat
+            v %= 3
+            if v == 1:
+                a1 |= bit[k]
+            elif v:
+                a2 |= bit[k]
+        planes.append((a1, a2))
+    return keys, planes
 
 
-def _echelon(mat: np.ndarray, ncols: int, full: bool) -> tuple[int, list[int]]:
-    """Row-reduce ``mat`` in place, pivoting on its first ``ncols`` columns.
+def _coefficients(row: tuple[int, int], n: int) -> tuple[int, ...]:
+    a1, a2 = row
+    return tuple((a1 >> i & 1) | (a2 >> i & 1) << 1 for i in range(n))
 
-    Columns are scanned left to right; each pivot is the topmost remaining
-    nonzero entry, swapped up and scaled to 1.  The forward pass clears the
-    entries below each pivot, which is all the rank needs; ``full`` also
-    clears those above, which yields reduced row echelon form.  Row
-    operations act on whole rows, so columns past ``ncols`` record them.
 
-    Returns the rank and the pivot columns.
+def _echelon(rows: Iterable[tuple[int, int]]) -> dict:
+    """Echelon basis of bit-plane rows, as {lead bit: row}.
+
+    Each row in turn is reduced by every basis row whose lead it holds, in
+    ascending lead order, and joins the basis, scaled to lead with a 1,
+    unless it became zero.  The leads are then the columns where the rank
+    of the column prefix rises, the smallest-key pivots.  Rows with
+    distinct leads, fed in descending lead order, leave the basis in
+    reduced row echelon form: each new lead lies below every earlier one,
+    so no earlier row holds it.
     """
-    nrows = mat.shape[0]
-    rank = 0
-    pivot_cols = []
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        candidates = np.flatnonzero(mat[rank:, col])
-        if candidates.size == 0:
-            continue
-        piv = rank + int(candidates[0])
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        if mat[rank, col] == 2:
-            mat[rank] = (mat[rank] * 2) % 3
-        first = 0 if full else rank + 1
-        others = first + np.flatnonzero(mat[first:, col])
-        others = others[others != rank]
-        if others.size:
-            # the pivot row is zero left of col, so only col: changes
-            factors = 3 - mat[others, col]
-            mat[others, col:] = (
-                mat[others, col:] + np.outer(factors, mat[rank, col:])
-            ) % 3
-        pivot_cols.append(col)
-        rank += 1
-    return rank, pivot_cols
+    basis = {}
+    pivots = 0
+    for a1, a2 in rows:
+        held = a1 | a2
+        hit = held & pivots
+        while hit:
+            low = hit & -hit
+            b1, b2 = basis[low]
+            if a1 & low:  # a holds 1 where b leads with 1: subtract b
+                b1, b2 = b2, b1
+            t = (a1 | b2) ^ (a2 | b1)
+            a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
+            held = a1 | a2
+            hit = held & pivots
+        if held:
+            lead = held & -held
+            basis[lead] = (a2, a1) if a2 & lead else (a1, a2)
+            pivots |= lead
+    return basis

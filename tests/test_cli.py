@@ -6,14 +6,18 @@ import sys
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def run_cli(*args, check=True):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "cml3.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -163,6 +167,66 @@ def test_negative_samples_is_usage_error():
     proc = run_cli("verify", "--suite", "cml3", "--n", "2", "--samples", "-5",
                    check=False)
     _one_line_usage_error(proc)
+
+
+def test_n_below_one_is_usage_error():
+    for args in (
+        ("verify", "--suite", "cml3", "--samples", "5"),
+        ("verify", "--suite", "identities", "--samples", "5"),
+        ("verify", "--suite", "malbos", "--samples", "5"),
+        ("cn", "--type", "1"),
+        ("dim",),
+        ("types",),
+    ):
+        for n in ("0", "-1"):
+            proc = run_cli(*args, "--n", n, check=False)
+            _one_line_usage_error(proc)
+            assert proc.stderr == "cml3: n must be at least 1\n", args
+            assert proc.stdout == "", args
+
+
+# Runs commands in one interpreter and reports, after the import and after
+# each command, whether numpy is loaded; then makes one twisted product
+# above MASK_MIN_PAIRS, the first call that needs the numpy kernel.
+_NUMPY_PROBE = """
+import contextlib, io, itertools, json, sys
+from cml3 import _kernel, cli
+from cml3._purecore import key_from_syms, pack_sym
+
+loaded = ["numpy" in sys.modules]
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0, args
+    loaded.append("numpy" in sys.modules)
+syms = [pack_sym(b, d) for b in range(7) for d in range(4)]
+x = {key_from_syms((s,)): 1 for s in syms}
+y = {key_from_syms(t): 2 for t in itertools.combinations(syms, 3)}
+assert len(x) * len(y) > _kernel.MASK_MIN_PAIRS
+_kernel.cmul_terms(x, y)
+loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_large_products():
+    # GF(3) elimination and everything below runs on Python ints; numpy
+    # is imported by the bitmask kernel alone, on the first large product
+    commands = [
+        ["h", "--type", "5,2"],
+        ["dim", "--n", "5"],
+        ["regular", "--case", "5,2"],
+        ["tah"],
+        ["mainid", "--mode", "algebra"],
+        ["verify", "--suite", "identities", "--n", "7", "--samples", "200"],
+        ["verify", "--suite", "malbos", "--n", "6", "--samples", "300"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == [False] * (len(commands) + 1) + [True]
 
 
 def test_json_with_csv_is_usage_error():
