@@ -1,57 +1,35 @@
-"""Kernel backend selection.
+"""The kernel ops the rest of the package calls.
 
-The compiled extension (``cml3._fastcore``) is used when it was built;
-otherwise the pure-Python reference (``cml3._purecore``) takes over.  Set
-``CML3_BACKEND=pure`` or ``CML3_BACKEND=fast`` to force one of the two.
-Both backends implement identical semantics on identical data.
+Wedge, derivation and associator steps are those of the pure-Python kernel
+``cml3._purecore``.  Twisted products of more than ``MASK_MIN_PAIRS``
+monomial pairs go to the numpy bitmask kernel (``cml3._maskcore``) instead,
+which returns the same terms.  Its numpy set-up costs 0.13-0.2 ms per call,
+so on the twisted products of the loop suites it overtakes the dict kernel
+from about 300 pairs on (measured on 2 vCPUs, Python 3.11, numpy 2.4).
 
-Twisted products of more than ``MASK_MIN_PAIRS`` monomial pairs go to the
-numpy bitmask kernel (``cml3._maskcore``) instead, which returns the same
-terms.  Its numpy set-up costs 0.13-0.2 ms per call, so on the twisted
-products of the loop suites it overtakes the pure backend from about 300
-pairs on and the compiled one from about 16k pairs on (measured on 2
-vCPUs, Python 3.11, numpy 2.4); the cut follows the backend in use.
+Callers look the ops up on this module at call time, so a tracer can wrap
+them here.
 """
 
-import os
-
-from ._purecore import (  # noqa: F401  (shared helpers, backend independent)
+from . import _purecore
+from ._purecore import (  # noqa: F401  (re-exported)
     DER_BITS,
     DER_MASK,
     MAX_BASE,
     MAX_DER,
+    assoc_step,
+    derive_terms,
     key_from_syms,
     pack_sym,
     sym_base,
     sym_der,
     syms_from_key,
+    wedge_terms,
 )
 
-_requested = os.environ.get("CML3_BACKEND", "").strip().lower()
-if _requested not in ("", "fast", "pure"):
-    raise ImportError(f"unknown CML3_BACKEND: {_requested!r}")
+BACKEND = "pure"
 
-if _requested == "pure":
-    from . import _purecore as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _fastcore as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "fast"
-    except ImportError:
-        if _requested == "fast":
-            raise
-        from . import _purecore as _impl
-
-        BACKEND = "pure"
-
-wedge_terms = _impl.wedge_terms
-derive_terms = _impl.derive_terms
-assoc_step = _impl.assoc_step
-
-MASK_MIN_PAIRS = 256 if BACKEND == "pure" else 16384
+MASK_MIN_PAIRS = 256
 
 
 def cmul_terms(x: dict, y: dict) -> dict:
@@ -64,4 +42,4 @@ def cmul_terms(x: dict, y: dict) -> dict:
         out = _maskcore.cmul_terms(x, y)
         if out is not None:
             return out
-    return _impl.cmul_terms(x, y)
+    return _purecore.cmul_terms(x, y)

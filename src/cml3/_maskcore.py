@@ -9,7 +9,7 @@ Computer Science* (2007), specialised to an exterior algebra over GF(3).
 
 The results equal :func:`cml3._purecore.cmul_terms` exactly; only the
 insertion order of the returned dict differs.  The per-call numpy set-up
-costs more than the dict kernels spend on small inputs, so
+costs more than the dict kernel spends on small inputs, so
 :mod:`cml3._kernel` sends only large products here.
 """
 

@@ -5,8 +5,9 @@ strictly increasing order.  A symbol packs a generator index and its
 derivation order as ``(base << 6) | order``.  An element is a dict mapping
 monomial keys to coefficients in {1, 2}; absent keys have coefficient 0.
 
-``cml3._fastcore`` implements the same four element operations as a compiled
-extension; :mod:`cml3._kernel` picks one of the two at import time.
+These are the package's kernel ops, re-exported by :mod:`cml3._kernel`;
+twisted products above its ``MASK_MIN_PAIRS`` go to :mod:`cml3._maskcore`
+instead.  The tests use this module as the oracle for that kernel.
 """
 
 from array import array

@@ -141,6 +141,11 @@ def report_passed(report: Sequence[dict]) -> bool:
     return all(entry["pass"] for entry in report)
 
 
+def _require_generators(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def _failures_over(labeled, check):
     """Labels failing a predicate, preserving instantiation order."""
     return [lab for lab, x in labeled if not check(x)]
@@ -152,6 +157,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     Covers commutativity, the Moufang identity, exponent 3, and the
     exponent 3 of associators.
     """
+    _require_generators(n)
     rng = random.Random(seed)
     gens = [loop_generator(i) for i in range(n)]
     triples = [(gens[i], gens[j], gens[k])
@@ -241,6 +247,7 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     stays under the exhaustive cap, otherwise on seeded tuples; a failure
     reports the instantiation.
     """
+    _require_generators(n)
     report = []
 
     def run(identity: str, arity: int, check: Callable[[tuple], bool]):
@@ -481,6 +488,7 @@ def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     Runs on min(n, MALBOS_MAX_N) generators.
     """
+    _require_generators(n)
     n = min(n, MALBOS_MAX_N)
     rng = random.Random(seed)
     pairs = [MALBOS_ONE]

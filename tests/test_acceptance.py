@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass lines.  All arithmetic is exact over GF(3), so every tolerance is
-zero; the runtime budgets assume the compiled kernel is built.
+zero; the runtime budgets hold on the package's one kernel path, which is
+pure Python plus numpy.
 """
 
 import json

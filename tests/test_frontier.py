@@ -1,9 +1,10 @@
 """The span-basis frontier of ``words._type_word_values``.
 
 The frontier steps on int-bitmask monomials and keeps one echelon basis per
-remaining letter multiset.  These tests check its step against the kernels,
-its h values against a rank over every word with no pruning, and the n = 8
-numbers that only the faster frontier reaches in test time.
+remaining letter multiset.  These tests check its step against the pure
+kernel's ``assoc_step``, its h values against a rank over every word with no
+pruning, and the n = 8 numbers that only the faster frontier reaches in test
+time.
 """
 
 import random
@@ -14,13 +15,6 @@ from cml3 import _purecore as pure
 from cml3 import gf3, words
 from cml3._purecore import key_from_syms, pack_sym, sym_base, sym_der, syms_from_key
 from cml3.words import LeftNormedWord, candidate_types, dim_Cn, eval_word, h_of_type
-
-try:
-    from cml3 import _fastcore as fast
-except ImportError:
-    fast = None
-
-KERNELS = [pure] + ([fast] if fast is not None else [])
 
 
 def _layout(gens, npairs):
@@ -84,8 +78,7 @@ def test_mask_step_matches_kernels():
                 order,
                 width,
             )
-            for kernel in KERNELS:
-                assert got == kernel.assoc_step(x, pack_sym(a), pack_sym(b))
+            assert got == pure.assoc_step(x, pack_sym(a), pack_sym(b))
     assert between > 200
 
 

@@ -114,6 +114,13 @@ def test_verify_cml3_vacuous():
     assert report_passed(report)
 
 
+@pytest.mark.parametrize("suite", [verify_cml3, verify_identities, malbos_verify])
+@pytest.mark.parametrize("n", [0, -1])
+def test_suites_reject_n_below_one(suite, n):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        suite(n, 5, 0)
+
+
 def test_verify_identities_small():
     report = verify_identities(4, samples=60, seed=0)
     assert report_passed(report)

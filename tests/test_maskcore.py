@@ -1,8 +1,8 @@
-"""The numpy bitmask kernel must equal the dict kernels term for term.
+"""The numpy bitmask kernel must equal the pure dict kernel term for term.
 
-Unlike test_kernel_parity.py this module needs no compiled extension: the
-pure dict kernel is always an oracle, and the compiled one joins it when it
-was built.
+Random inputs on both sides of ``_kernel.MASK_MIN_PAIRS``, unit and empty
+elements, and derivation overflow, each checked against ``_purecore`` and
+through the ``_kernel`` dispatch.
 """
 
 import random
@@ -12,13 +12,6 @@ import pytest
 from cml3 import _kernel, _maskcore
 from cml3 import _purecore as pure
 from cml3._purecore import MAX_DER, key_from_syms, pack_sym
-
-try:
-    from cml3 import _fastcore
-except ImportError:
-    _fastcore = None
-
-ORACLES = [pure] + ([_fastcore] if _fastcore is not None else [])
 
 
 def _random_terms(rng, nterms, nbases=7, maxlen=8, maxder=4, parities=(0, 1)):
@@ -36,8 +29,7 @@ def _random_terms(rng, nterms, nbases=7, maxlen=8, maxder=4, parities=(0, 1)):
 def _assert_matches(x, y):
     got = _maskcore.cmul_terms(x, y)
     assert got is not None
-    for oracle in ORACLES:
-        assert got == oracle.cmul_terms(x, y)
+    assert got == pure.cmul_terms(x, y)
     assert _kernel.cmul_terms(x, y) == got
     assert all(type(c) is int and c in (1, 2) for c in got.values())
 
@@ -67,12 +59,16 @@ def test_blocked_accumulation_with_large_output():
 
 def test_unit_and_empty():
     one = {b"": 1}
-    x = _random_terms(random.Random(2), 30)
-    assert _maskcore.cmul_terms(one, x) == x
-    assert _maskcore.cmul_terms(x, one) == x
-    assert _maskcore.cmul_terms(one, one) == one
-    assert _maskcore.cmul_terms({}, x) == {}
-    assert _maskcore.cmul_terms(x, {}) == {}
+    rng = random.Random(2)
+    # 30 pairs stay under the cut, 300 go over it
+    for x in (_random_terms(rng, 30), _random_terms(rng, 300)):
+        for kernel in (pure, _maskcore, _kernel):
+            assert kernel.cmul_terms(one, x) == x
+            assert kernel.cmul_terms(x, one) == x
+            assert kernel.cmul_terms(one, one) == one
+            assert kernel.cmul_terms({}, x) == {}
+            assert kernel.cmul_terms(x, {}) == {}
+    assert 300 > _kernel.MASK_MIN_PAIRS
 
 
 def test_mixed_parity_elements():
@@ -123,7 +119,7 @@ def test_derivation_overflow_raises_exactly_when_dict_kernels_do():
     odd = {key_from_syms([pack_sym(2)]): 1}
     even = {key_from_syms([pack_sym(2), pack_sym(3)]): 1}
     even_top = {key_from_syms([top, pack_sym(3)]): 2}
-    for kernel in ORACLES + [_maskcore]:
+    for kernel in (pure, _maskcore, _kernel):
         with pytest.raises(OverflowError):
             kernel.cmul_terms(odd_top, odd)
         with pytest.raises(OverflowError):
