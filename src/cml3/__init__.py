@@ -4,48 +4,49 @@ The model: a Grassmann algebra over GF(3) on derived odd generators with a
 shift derivation, twisted into a commutative alternative algebra whose
 unital elements form the loop.  Everything downstream — dimension tables,
 regular-word bounds, identity verification — is exact GF(3) arithmetic.
+
+The public names below are loaded from their submodule on first access
+(PEP 562), so importing the package, or one submodule such as ``cml3.cli``,
+does not compile the rest.
 """
 
-from ._kernel import BACKEND
-from .gf3 import RankResult, SparseRow, rank_and_kernel
-from .grassmann import GElement, GenSym, Monomial, derive, elem_mul, mono_mul
-from .loop import (
-    LoopElement,
-    MalbosPair,
-    NonInvertible,
-    lassoc,
-    linv,
-    lmul,
-    mainid_check,
-    malbos_mul,
-    malbos_verify,
-    tah_witness,
-    verify_cml3,
-    verify_identities,
-)
-from .twisted import associator, cmul, cube
-from .twowords import (
-    Pair,
-    RegularReport,
-    RelationSchema,
-    TwoWord,
-    lex_compare,
-    normalize,
-    pattern_predicates_case7,
-    regular_words,
-    relation_span,
-)
-from .words import (
-    DimReport,
-    LeftNormedWord,
-    TypeVector,
-    Word3,
-    c_n_of_type,
-    dim_Cn,
-    enumerate_types,
-    eval_word,
-    h_of_type,
-    word_vectors,
-)
+import importlib
 
+# public name -> submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("_kernel", ("BACKEND",)),
+        ("gf3", ("RankResult", "SparseRow", "rank_and_kernel")),
+        ("grassmann", ("GElement", "GenSym", "Monomial", "derive", "elem_mul",
+                       "mono_mul")),
+        ("loop", ("LoopElement", "MalbosPair", "NonInvertible", "lassoc",
+                  "linv", "lmul", "mainid_check", "malbos_mul",
+                  "malbos_verify", "tah_witness", "verify_cml3",
+                  "verify_identities")),
+        ("twisted", ("associator", "cmul", "cube")),
+        ("twowords", ("Pair", "RegularReport", "RelationSchema", "TwoWord",
+                      "lex_compare", "normalize", "pattern_predicates_case7",
+                      "regular_words", "relation_span")),
+        ("words", ("DimReport", "LeftNormedWord", "TypeVector", "Word3",
+                   "c_n_of_type", "dim_Cn", "enumerate_types", "eval_word",
+                   "h_of_type", "word_vectors")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

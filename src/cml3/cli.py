@@ -15,7 +15,9 @@ import sys
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
-from . import gf3, loop, twowords, words
+# loop and twowords are imported by the handlers that use them, so the
+# word-span commands (dim, h, cn, types) never compile them
+from . import gf3, words
 # rank_and_kernel stays importable here: perfbench/tracer.py wraps the gf3
 # names at each module that imports them
 from .gf3 import rank_and_kernel  # noqa: F401
@@ -215,6 +217,8 @@ def _run_types(cfg: RunConfig):
 
 
 def _run_verify(cfg: RunConfig):
+    from . import loop
+
     if cfg.n > words.MAX_SAFE_N and not cfg.unsafe_n:
         _error_exit(
             f"n={cfg.n} exceeds the supported range "
@@ -250,6 +254,8 @@ def _run_verify(cfg: RunConfig):
 
 
 def _run_tah(cfg: RunConfig):
+    from . import loop
+
     witness = loop.tah_witness()
     passed = bool(witness)
     results = {"nonzero": passed, "terms": len(witness.raw())}
@@ -262,6 +268,8 @@ def _run_tah(cfg: RunConfig):
 
 
 def _run_mainid(cfg: RunConfig):
+    from . import loop
+
     report = loop.mainid_check(cfg.mode, samples=cfg.samples, seed=cfg.seed)
     passed = loop.report_passed(report)
     results = {"mode": cfg.mode, "checks": report}
@@ -279,6 +287,8 @@ def _run_mainid(cfg: RunConfig):
 
 
 def _run_regular(cfg: RunConfig):
+    from . import twowords
+
     report = twowords.regular_words(cfg.case)
     results = {
         "case": str(report.case),

@@ -18,6 +18,10 @@ monomial is a Python int with one bit per symbol, at ``slot * W + der``:
 generator slots go in ascending generator order, and each is ``W`` bits
 wide, room for every derivation order a word of the type can reach plus a
 guard bit.  Bit order is symbol order, so signs match the kernel's.
+
+Types that the nilpotency class bound forces to zero (``_class_bound_zero``:
+weight at least 3 on too few letters) are skipped before any enumeration;
+``_span_rank`` stays the unpruned engine.
 """
 
 from __future__ import annotations
@@ -350,6 +354,39 @@ def _span_rank(counts: tuple[int, ...], gens: Sequence[int]) -> int:
     return gf3.rank_only(values)[0]
 
 
+def _class_bound_zero(tv: TypeVector) -> bool:
+    """True when the nilpotency class bound forces the span of ``tv`` to 0.
+
+    That is when the weight w is at least 3 and the letter count L has
+    2L < w + 3.  Proof: the span is that of the left-normed words
+    ((..((x, a1, a2), a3, a4)..)) of the type, and such a word of weight
+    w = 2k + 1 nests k associators.  Read as a loop word in the elements
+    1 + x_i, it lies in L_k, the k-th term of the lower central series
+    L_0 = G, L_(j+1) = (L_j, G, G) of the subloop G that its L letters
+    generate, since each associator takes L_j into L_(j+1).  G is a
+    commutative Moufang loop on at most L generators.  By Bruck-Slaby it
+    has nilpotency class at most L - 1 when L >= 3, so L_(L-1) = 1 (R. H.
+    Bruck, *A Survey of Binary Systems*, 1958, ch. VIII); when L <= 2 it is
+    associative by Moufang's theorem.  Either way the loop word is 1
+    whenever k >= L - 1, which is 2L < w + 3.
+
+    The word value is the leading term of that loop word.  Filter the
+    twisted algebra by monomial degree; the twisted product adds degrees,
+    since d keeps them.  For homogeneous odd u, v, w the associator is
+    (u*v)*w - u*(v*w) = du^v^w - 2 u^dv^w + u^v^dw = d(u^v^w) over GF(3),
+    the value of the node (u, v, w).  The associator is trilinear and
+    vanishes when an argument is the unit, so for loop elements
+    U = 1 + u + (higher degree), V and W alike, A = (UV)W - U(VW) is
+    d(u^v^w) + (higher degree), and the loop associator
+    ((UV)W)(U(VW))^-1 = 1 + A (U(VW))^-1 is 1 + d(u^v^w) + (higher
+    degree).  By induction from the generators 1 + x_i, the loop word is
+    1 + (the 3-word value) + (higher degree), so the value is 0 when the
+    loop word is 1.  The tests check every pruned type for n <= 8
+    against ``_span_rank``.
+    """
+    return tv.weight >= 3 and 2 * tv.letters < tv.weight + 3
+
+
 @lru_cache(maxsize=None)
 def _h_cached(counts: tuple[int, ...]) -> int:
     return _span_rank(counts, tuple(range(TypeVector(counts).letters)))
@@ -366,7 +403,7 @@ def h_of_type(
     exists so tests can verify that independence.
     """
     tv = _as_type(a)
-    if tv.weight % 2 == 0 or tv.letters == 0:
+    if tv.weight % 2 == 0 or tv.letters == 0 or _class_bound_zero(tv):
         return 0
     if assign is None:
         return _h_cached(tv.counts)
@@ -407,8 +444,12 @@ def _partitions(m: int, max_part: int):
 def candidate_types(n: int) -> list[TypeVector]:
     """Every type that could carry a nonzero word on n generators.
 
-    Words have an odd leaf count; the nilpotency class bound caps the leaf
-    count at 2n - 1; a type needs at most n distinct letters.
+    Words have an odd leaf count and a type needs at most n distinct
+    letters.  The leaf count is enumerated up to 2n - 1; that cap only
+    bounds the list.  ``_class_bound_zero`` gives the sharp bound: a
+    nonzero type on L <= n letters has weight at most 2L - 3 <= 2n - 3
+    (or is a single letter), and ``h_of_type`` returns 0 for the rest
+    without enumerating any word.
     """
     out = []
     for m in range(1, 2 * n, 2):

@@ -52,7 +52,9 @@ def test_h_even_weight_note():
 
 
 def test_h_over_cap_is_usage_error():
-    for args in (("h", "--type", "9,9"), ("cn", "--n", "9", "--type", "9")):
+    # 1,7 is zero by the class bound, yet stays past the cap like any type
+    for args in (("h", "--type", "9,9"), ("cn", "--n", "9", "--type", "9"),
+                 ("h", "--type", "1,7"), ("cn", "--n", "8", "--type", "1,7")):
         proc = run_cli(*args, check=False)
         _one_line_usage_error(proc)
         assert "--unsafe-n" in proc.stderr, args
@@ -229,6 +231,76 @@ def test_numpy_loads_only_for_large_products():
     assert loaded == [False] * (len(commands) + 1) + [True]
 
 
+# Reports which of loop and twowords are loaded after importing cml3.cli and
+# after each command, all in one interpreter; then checks the package root:
+# its lazy public names against their submodules, star import, and a miss.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+from cml3 import cli
+
+def loaded():
+    return [m for m in ("cml3.loop", "cml3.twowords") if m in sys.modules]
+
+out = [loaded()]
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0, args
+    out.append(loaded())
+
+import importlib
+import cml3
+for name, module in json.loads(sys.argv[2]).items():
+    assert getattr(cml3, name) is getattr(
+        importlib.import_module("cml3." + module), name), name
+    assert name in dir(cml3), name
+star = {}
+exec("from cml3 import *", star)
+assert set(json.loads(sys.argv[2])) <= set(star), "star import"
+try:
+    cml3.no_such_name
+except AttributeError:
+    out.append("miss")
+print(json.dumps(out))
+"""
+
+# every public name of the package root, by the submodule that defines it
+_PUBLIC = {
+    "_kernel": ["BACKEND"],
+    "gf3": ["RankResult", "SparseRow", "rank_and_kernel"],
+    "grassmann": ["GElement", "GenSym", "Monomial", "derive", "elem_mul",
+                  "mono_mul"],
+    "loop": ["LoopElement", "MalbosPair", "NonInvertible", "lassoc", "linv",
+             "lmul", "mainid_check", "malbos_mul", "malbos_verify",
+             "tah_witness", "verify_cml3", "verify_identities"],
+    "twisted": ["associator", "cmul", "cube"],
+    "twowords": ["Pair", "RegularReport", "RelationSchema", "TwoWord",
+                 "lex_compare", "normalize", "pattern_predicates_case7",
+                 "regular_words", "relation_span"],
+    "words": ["DimReport", "LeftNormedWord", "TypeVector", "Word3",
+              "c_n_of_type", "dim_Cn", "enumerate_types", "eval_word",
+              "h_of_type", "word_vectors"],
+}
+
+
+def test_word_span_commands_load_neither_loop_nor_twowords():
+    commands = [
+        ["h", "--type", "5,2"],
+        ["dim", "--n", "5"],
+        ["types", "--n", "5"],
+        ["cn", "--n", "5", "--type", "3,1"],
+        ["regular", "--case", "7"],
+    ]
+    names = {name: module for module, group in _PUBLIC.items()
+             for name in group}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, json.dumps(commands),
+         json.dumps(names)],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[]] * 5 + [["cml3.twowords"], "miss"]
+
+
 def test_json_with_csv_is_usage_error():
     proc = run_cli("dim", "--n", "3", "--json", "--csv", check=False)
     _one_line_usage_error(proc)
@@ -255,11 +327,11 @@ def test_golden_files():
         "h", "--type", "5,2", "--expect", os.path.join(GOLDEN, "h_5_2.txt")
     )
     assert proc.returncode == 0
-    proc = run_cli(
-        "dim", "--n", "5", "--json",
-        "--expect", os.path.join(GOLDEN, "dim_n5.json"),
-    )
-    assert proc.returncode == 0
+    for name, args in (("dim_n5.json", ("dim", "--n", "5")),
+                       ("dim_n7.json", ("dim", "--n", "7")),
+                       ("types_n7.json", ("types", "--n", "7"))):
+        proc = run_cli(*args, "--json", "--expect", os.path.join(GOLDEN, name))
+        assert proc.returncode == 0, name
 
 
 def test_json_deterministic_across_runs():

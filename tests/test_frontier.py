@@ -3,18 +3,31 @@
 The frontier steps on int-bitmask monomials and keeps one echelon basis per
 remaining letter multiset.  These tests check its step against the pure
 kernel's ``assoc_step``, its h values against a rank over every word with no
-pruning, and the n = 8 numbers that only the faster frontier reaches in test
-time.
+pruning, the n = 8 numbers that only the faster frontier reaches in test
+time, and the types that ``h_of_type`` skips by the nilpotency class bound.
 """
 
+import json
+import os
 import random
 
 import pytest
 
 from cml3 import _purecore as pure
-from cml3 import gf3, words
+from cml3 import gf3, loop, words
 from cml3._purecore import key_from_syms, pack_sym, sym_base, sym_der, syms_from_key
-from cml3.words import LeftNormedWord, candidate_types, dim_Cn, eval_word, h_of_type
+from cml3.words import (
+    LeftNormedWord,
+    TypeVector,
+    Word3,
+    candidate_types,
+    dim_Cn,
+    eval_word,
+    h_of_type,
+)
+from test_acceptance import H_TABLE
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _layout(gens, npairs):
@@ -148,3 +161,46 @@ def test_n8_scale_pins():
     assert h_of_type((6, 1, 1)) == 1
     assert h_of_type((1, 7)) == 0  # the slowest n = 8 type
     assert dim_Cn(8, unsafe=True).total == 4760
+
+
+def test_class_bound_pruned_types_are_zero():
+    # the unpruned engine gives 0 on every candidate type for n <= 8 that
+    # the class bound skips (candidate_types(8) contains those of smaller n)
+    pruned = [tv for tv in candidate_types(8) if words._class_bound_zero(tv)]
+    assert len(pruned) == 313
+    for tv in pruned:
+        assert words._span_rank(tv.counts, range(tv.letters)) == 0, tv
+        assert h_of_type(tv) == 0
+
+
+def test_class_bound_keeps_known_nonzero_types():
+    # the n <= 7 h table and every row of the dim --n 7 golden, written by
+    # the unpruned code, are outside the bound
+    with open(os.path.join(GOLDEN, "dim_n7.json")) as fh:
+        rows = json.load(fh)["results"]["per_type"]
+    types = [TypeVector.of(counts) for counts in H_TABLE]
+    types += [TypeVector.parse(row["type"]) for row in rows]
+    assert len(rows) == 11
+    for tv in types:
+        assert not words._class_bound_zero(tv), tv
+
+
+def _loop_word(tree):
+    if isinstance(tree, int):
+        return loop.loop_generator(tree)
+    return loop.lassoc(*(_loop_word(child) for child in tree))
+
+
+def test_loop_associator_leading_term_is_word_value():
+    # the step the class-bound proof rests on: the loop associator word of
+    # the elements 1 + x_i is 1 + (the 3-word value) + higher degree
+    assign = {i: i for i in range(5)}
+    for tree in ((0, 1, 2), ((0, 1, 2), 3, 4), (0, (1, 2, 3), 4),
+                 ((0, 1, 2), (1, 3, 4), 2), ((0, 1, 2), 0, 3)):
+        weight = len(Word3(tree).leaves())
+        value = _loop_word(tree).nilpotent.raw()
+        degrees = {len(pure.syms_from_key(key)) for key in value}
+        assert min(degrees) == weight, tree
+        lead = {k: c for k, c in value.items()
+                if len(pure.syms_from_key(k)) == weight}
+        assert lead == eval_word(Word3(tree), assign).raw(), tree
