@@ -8,12 +8,9 @@ Progress goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import logging
 import sys
-from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import NoReturn
 
 # loop and twowords are imported by the handlers that use them, so the
 # word-span commands (dim, h, cn, types) never compile them
@@ -23,44 +20,15 @@ from . import gf3, words
 from .gf3 import rank_and_kernel  # noqa: F401
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: Optional[int] = None
-    type_vector: Optional[str] = None
-    case: Optional[str] = None
-    suite: Optional[str] = None
-    mode: Optional[str] = None
-    samples: int = 100
-    seed: int = 0
-    fmt: str = "text"
-    out_path: Optional[str] = None
-    expect: Optional[str] = None
-    unsafe_n: bool = False
-    list_words: bool = False
-    cross_check: bool = False
-    dump: bool = False
-
-    def public(self) -> dict:
-        # what the run computed: the command, its inputs and the seed;
-        # output options stay out
-        cfg = {"command": self.command, "samples": self.samples,
-               "seed": self.seed}
-        for key in ("n", "type_vector", "case", "suite", "mode"):
-            value = getattr(self, key)
-            if value is not None:
-                cfg[key] = value
-        return cfg
-
-
-def _add_common(p, *, samples=False):
+def _add_common(p, *, samples=False, unsafe=False):
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--csv", action="store_true", help="CSV output")
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
     p.add_argument("--expect", metavar="FILE",
                    help="diff output against FILE; exit 1 on mismatch")
-    p.add_argument("--unsafe-n", action="store_true",
-                   help="lift the n <= 7 cap (slow, unverified)")
+    if unsafe:
+        p.add_argument("--unsafe-n", action="store_true",
+                       help="lift the n <= 7 cap (slow, unverified)")
     if samples:
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
@@ -76,26 +44,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="dimension table by multidegree type")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, unsafe=True)
 
     p = sub.add_parser("h", help="span dimension of one type")
     p.add_argument("--type", dest="type_vector", required=True)
-    _add_common(p)
+    _add_common(p, unsafe=True)
 
     p = sub.add_parser("cn", help="word count of one type over n generators")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--type", dest="type_vector", required=True)
-    _add_common(p)
+    _add_common(p, unsafe=True)
 
     p = sub.add_parser("types", help="types with nonzero span")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, unsafe=True)
 
     p = sub.add_parser("verify", help="identity suites")
     p.add_argument("--suite", choices=("cml3", "identities", "malbos"),
                    required=True)
     p.add_argument("--n", type=int, default=7)
-    _add_common(p, samples=True)
+    _add_common(p, samples=True, unsafe=True)
 
     p = sub.add_parser("tah", help="the nonvanishing thrice-repeated associator")
     p.add_argument("--dump", action="store_true", help="print the element")
@@ -120,39 +88,32 @@ def _error_exit(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _config(args) -> RunConfig:
-    fmt = "json" if args.json else ("csv" if args.csv else "text")
-    if args.json and args.csv:
-        _error_exit("--json and --csv are mutually exclusive")
-    if getattr(args, "samples", 0) < 0:
-        _error_exit(f"--samples must be >= 0, got {args.samples}")
-    if getattr(args, "n", 1) < 1:
-        _error_exit("n must be at least 1")
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        type_vector=getattr(args, "type_vector", None),
-        case=getattr(args, "case", None),
-        suite=getattr(args, "suite", None),
-        mode=getattr(args, "mode", None),
-        samples=getattr(args, "samples", 100),
-        seed=getattr(args, "seed", 0),
-        fmt=fmt,
-        out_path=args.out,
-        expect=args.expect,
-        unsafe_n=args.unsafe_n,
-        list_words=getattr(args, "list_words", False),
-        cross_check=getattr(args, "cross_check", False),
-        dump=getattr(args, "dump", False),
-    )
+def _public(args) -> dict:
+    # what the run computed: the command, its inputs and the seed; output
+    # options stay out
+    cfg = {"command": args.command, "samples": getattr(args, "samples", 100),
+           "seed": getattr(args, "seed", 0)}
+    for key in ("n", "type_vector", "case", "suite", "mode"):
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = value
+    return cfg
+
+
+def _check_range(scope, args) -> None:
+    """Reject a run past the verified range, or warn that it is unverified."""
+    if words.past_verified_range(scope, args.unsafe_n):
+        print(f"cml3: past the verified range (n <= {words.MAX_SAFE_N}); "
+              "the result is unverified", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (results dict, pass flag, text lines, csv rows)
 # ---------------------------------------------------------------------------
 
-def _run_dim(cfg: RunConfig):
-    report = words.dim_Cn(cfg.n, unsafe=cfg.unsafe_n)
+def _run_dim(args):
+    _check_range(args.n, args)
+    report = words.dim_Cn(args.n, unsafe=args.unsafe_n)
     per_type = [
         {"type": str(tv), "h": h, "c": c} for tv, h, c in report.per_type
     ]
@@ -165,26 +126,14 @@ def _run_dim(cfg: RunConfig):
     return results, True, lines, rows
 
 
-def _check_type_range(tv: words.TypeVector, cfg: RunConfig) -> None:
-    if cfg.unsafe_n:
-        return
-    if (tv.letters > words.MAX_SAFE_LETTERS
-            or tv.weight > words.MAX_SAFE_WEIGHT):
-        _error_exit(
-            f"type {tv} exceeds the supported range "
-            f"(letters <= {words.MAX_SAFE_LETTERS}, "
-            f"weight <= {words.MAX_SAFE_WEIGHT}); pass --unsafe-n to force"
-        )
-
-
-def _run_h(cfg: RunConfig):
-    tv = words.TypeVector.parse(cfg.type_vector)
+def _run_h(args):
+    tv = words.TypeVector.parse(args.type_vector)
     note = None
     if tv.weight % 2 == 0:
         h = 0
         note = "weight even; no words of this type"
     else:
-        _check_type_range(tv, cfg)
+        _check_range(tv, args)
         h = words.h_of_type(tv)
     results = {"type": str(tv), "h": h}
     line = f"type={tv} h={h}"
@@ -195,49 +144,46 @@ def _run_h(cfg: RunConfig):
     return results, True, [line], rows
 
 
-def _run_cn(cfg: RunConfig):
-    tv = words.TypeVector.parse(cfg.type_vector)
-    if tv.letters > cfg.n:
+def _run_cn(args):
+    tv = words.TypeVector.parse(args.type_vector)
+    if tv.letters > args.n:
         c = 0
     else:
-        _check_type_range(tv, cfg)
-        c = words.c_n_of_type(cfg.n, tv)
-    results = {"n": cfg.n, "type": str(tv), "c": c}
-    return results, True, [f"type={tv} n={cfg.n} c={c}"], [
-        ("type", "n", "c"), (str(tv), cfg.n, c)
+        _check_range(tv, args)
+        c = words.c_n_of_type(args.n, tv)
+    results = {"n": args.n, "type": str(tv), "c": c}
+    return results, True, [f"type={tv} n={args.n} c={c}"], [
+        ("type", "n", "c"), (str(tv), args.n, c)
     ]
 
 
-def _run_types(cfg: RunConfig):
-    tvs = words.enumerate_types(cfg.n, unsafe=cfg.unsafe_n)
-    results = {"n": cfg.n, "types": [str(tv) for tv in tvs]}
+def _run_types(args):
+    _check_range(args.n, args)
+    tvs = words.enumerate_types(args.n, unsafe=args.unsafe_n)
+    results = {"n": args.n, "types": [str(tv) for tv in tvs]}
     lines = [f"type={tv}" for tv in tvs]
     rows = [("type",)] + [(str(tv),) for tv in tvs]
     return results, True, lines, rows
 
 
-def _run_verify(cfg: RunConfig):
+def _run_verify(args):
     from . import loop
 
-    if cfg.n > words.MAX_SAFE_N and not cfg.unsafe_n:
-        _error_exit(
-            f"n={cfg.n} exceeds the supported range "
-            f"(n <= {words.MAX_SAFE_N}); pass --unsafe-n to force"
-        )
-    if cfg.suite == "cml3":
-        report = loop.verify_cml3(cfg.n, cfg.samples, cfg.seed)
-    elif cfg.suite == "identities":
-        report = loop.verify_identities(cfg.n, cfg.samples, cfg.seed)
+    _check_range(args.n, args)
+    if args.suite == "cml3":
+        report = loop.verify_cml3(args.n, args.samples, args.seed)
+    elif args.suite == "identities":
+        report = loop.verify_identities(args.n, args.samples, args.seed)
     else:
-        if cfg.n > loop.MALBOS_MAX_N:
+        if args.n > loop.MALBOS_MAX_N:
             # the config reports the n the suite ran on
             print(f"cml3: the malbos suite runs on at most "
                   f"{loop.MALBOS_MAX_N} generators; using --n "
                   f"{loop.MALBOS_MAX_N}", file=sys.stderr)
-            cfg.n = loop.MALBOS_MAX_N
-        report = loop.malbos_verify(cfg.n, cfg.samples, cfg.seed)
+            args.n = loop.MALBOS_MAX_N
+        report = loop.malbos_verify(args.n, args.samples, args.seed)
     passed = loop.report_passed(report)
-    results = {"suite": cfg.suite, "checks": report}
+    results = {"suite": args.suite, "checks": report}
     lines = [
         f"identity={e['identity']} instantiations={e['instantiation'].split()[0]}"
         f" pass={str(e['pass']).lower()}"
@@ -253,26 +199,26 @@ def _run_verify(cfg: RunConfig):
     return results, passed, lines, rows
 
 
-def _run_tah(cfg: RunConfig):
+def _run_tah(args):
     from . import loop
 
     witness = loop.tah_witness()
     passed = bool(witness)
     results = {"nonzero": passed, "terms": len(witness.raw())}
     lines = [f"nonzero={str(passed).lower()} terms={len(witness.raw())}"]
-    if cfg.dump:
+    if args.dump:
         results["element"] = str(witness)
         lines.append(f"element={witness}")
     rows = [("nonzero", "terms"), (str(passed).lower(), len(witness.raw()))]
     return results, passed, lines, rows
 
 
-def _run_mainid(cfg: RunConfig):
+def _run_mainid(args):
     from . import loop
 
-    report = loop.mainid_check(cfg.mode, samples=cfg.samples, seed=cfg.seed)
+    report = loop.mainid_check(args.mode, samples=args.samples, seed=args.seed)
     passed = loop.report_passed(report)
-    results = {"mode": cfg.mode, "checks": report}
+    results = {"mode": args.mode, "checks": report}
     lines = []
     for e in report:
         lines.append(
@@ -286,10 +232,12 @@ def _run_mainid(cfg: RunConfig):
     return results, passed, lines, rows
 
 
-def _run_regular(cfg: RunConfig):
+def _run_regular(args):
     from . import twowords
 
-    report = twowords.regular_words(cfg.case)
+    if args.cross_check and args.case != "7":
+        _error_exit("--cross-check applies to --case 7")
+    report = twowords.regular_words(args.case)
     results = {
         "case": str(report.case),
         "set": report.relation_set,
@@ -311,9 +259,7 @@ def _run_regular(cfg: RunConfig):
         conditional = gf3.rank_only(rows_)[0]
         results["conditional_bound"] = conditional
         lines.append(f"conditional_bound={conditional}")
-    if cfg.cross_check:
-        if str(report.case) != "7":
-            _error_exit("--cross-check applies to --case 7")
+    if args.cross_check:
         regular = set(report.regular)
         agree = all(
             (twowords.pattern_predicates_case7(w)[0] == "regular")
@@ -323,7 +269,7 @@ def _run_regular(cfg: RunConfig):
         results["cross_check"] = "agree" if agree else "disagree"
         passed = agree
         lines.append(f"cross_check={results['cross_check']}")
-    if cfg.list_words:
+    if args.list_words:
         # bare word-list dump, one canonical word per line
         lines = [str(w) for w in report.regular]
     rows = [("word",)] + [(str(w),) for w in report.regular]
@@ -342,54 +288,44 @@ _HANDLERS = {
 }
 
 
-def _render(cfg: RunConfig, results: dict, passed: bool) -> str:
-    if cfg.fmt == "json":
-        doc = {
-            "command": cfg.command,
-            "config": cfg.public(),
-            "results": results,
-            "pass": passed,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    raise RuntimeError("text/csv rendered separately")
-
-
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config(args)
+    args = _build_parser().parse_args(argv)
+    if args.json and args.csv:
+        _error_exit("--json and --csv are mutually exclusive")
+    if getattr(args, "samples", 0) < 0:
+        _error_exit(f"--samples must be >= 0, got {args.samples}")
+    if getattr(args, "n", 1) < 1:
+        _error_exit("n must be at least 1")
 
     try:
-        results, passed, lines, rows = _HANDLERS[cfg.command](cfg)
+        results, passed, lines, rows = _HANDLERS[args.command](args)
     except ValueError as exc:
         _error_exit(str(exc))
 
-    if cfg.fmt == "json":
-        output = _render(cfg, results, passed)
-    elif cfg.fmt == "csv":
-        buf = io.StringIO()
-        for row in rows:
-            buf.write(",".join(str(x) for x in row) + "\n")
-        output = buf.getvalue()
+    if args.json:
+        doc = {"command": args.command, "config": _public(args),
+               "results": results, "pass": passed}
+        output = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    elif args.csv:
+        output = "".join(",".join(str(x) for x in row) + "\n" for row in rows)
     else:
         output = "".join(line + "\n" for line in lines)
 
-    if cfg.out_path:
+    if args.out:
         try:
-            with open(cfg.out_path, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(output)
         except OSError as exc:
-            _error_exit(f"cannot write {cfg.out_path}: {exc.strerror}")
+            _error_exit(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(output)
 
-    if cfg.expect:
+    if args.expect:
         try:
-            with open(cfg.expect) as fh:
+            with open(args.expect) as fh:
                 expected = fh.read()
         except OSError as exc:
-            _error_exit(f"cannot read {cfg.expect}: {exc.strerror}")
+            _error_exit(f"cannot read {args.expect}: {exc.strerror}")
         if expected != output:
             print("cml3: output differs from expected file", file=sys.stderr)
             return 1

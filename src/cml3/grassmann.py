@@ -60,10 +60,6 @@ class Monomial:
     key: bytes = b""
 
     @classmethod
-    def unit(cls) -> "Monomial":
-        return cls(b"")
-
-    @classmethod
     def from_syms(cls, syms: Iterable[GenSym | tuple[int, int]]) -> "Monomial":
         packed = []
         for s in syms:
@@ -152,21 +148,6 @@ class GElement:
     def generator(cls, base: int, der: int = 0) -> "GElement":
         return cls._wrap({key_from_syms((pack_sym(base, der),)): 1})
 
-    @classmethod
-    def from_monomials(cls, items: Iterable[tuple[Monomial, int]]) -> "GElement":
-        terms: dict = {}
-        for mono, coeff in items:
-            c = (terms.get(mono.key, 0) + coeff) % 3
-            if c:
-                terms[mono.key] = c
-            elif mono.key in terms:
-                del terms[mono.key]
-        return cls._wrap(terms)
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
     def raw(self) -> dict:
         """The internal term dict.  Callers must not mutate it."""
         return self._terms
@@ -174,9 +155,6 @@ class GElement:
     def monomials(self) -> Iterator[tuple[Monomial, int]]:
         for key in sorted(self._terms, key=lambda k: (len(k), syms_from_key(k))):
             yield Monomial(key), self._terms[key]
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono.key, 0)
 
     @property
     def constant(self) -> int:
@@ -244,11 +222,6 @@ class GElement:
         return GElement._wrap(
             {k: v for k, v in self._terms.items() if len(k) // 2 == degree}
         )
-
-    def max_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(len(k) // 2 for k in self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)

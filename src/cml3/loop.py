@@ -233,7 +233,14 @@ def _instantiation_tuples(n: int, arity: int, samples: int, seed: int):
     ], "sampled"
 
 
-_ident = {i: i for i in range(64)}
+class _Identity(dict):
+    """Letter i evaluated as generator i, for every letter."""
+
+    def __missing__(self, letter):
+        return letter
+
+
+_ident = _Identity()
 
 
 def _chain(head: int, pairs) -> GElement:

@@ -18,12 +18,13 @@ above.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .gf3 import SparseRow, rank_only
-from .words import LeftNormedWord, TypeVector
+from .words import LeftNormedWord, TypeVector, _as_type
 
 
 @total_ordering
@@ -361,7 +362,7 @@ def relation_span(
     arrangement.  Terms whose pairs degenerate under the instantiation
     vanish and are dropped; duplicate rows (up to scalar) appear once.
     """
-    case = _as_case(case)
+    case = _as_type(case)
     words = universe(case)
     rows = _span_rows_indexed(case, relation_set, words)
     return [
@@ -422,7 +423,7 @@ def regular_words(
     irregular exactly when some combination of relation instances has it as
     leading term.  The surviving regular words bound the case dimension.
     """
-    case = _as_case(case)
+    case = _as_type(case)
     if relation_set is None:
         relation_set = CASE_SETS.get(str(case))
         if relation_set is None:
@@ -449,14 +450,6 @@ def _regular_cached(counts: tuple[int, ...], relation_set: str) -> RegularReport
         regular=regular,
         bound=len(regular),
     )
-
-
-def _as_case(case) -> TypeVector:
-    if isinstance(case, TypeVector):
-        return case
-    if isinstance(case, str):
-        return TypeVector.parse(case)
-    return TypeVector.of(case)
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +533,9 @@ def linearize(
         ]
         if len(slots) != len(fresh):
             raise ValueError("occurrence count must match fresh letters")
-        for perm in _permutations(list(fresh)):
+        for perm in itertools.permutations(fresh):
             new_pairs = [list(p) for p in pairs]
             for (i, j), repl in zip(slots, perm):
                 new_pairs[i][j] = repl
             out.append((coeff, tuple(tuple(p) for p in new_pairs)))
     return out
-
-
-def _permutations(items: list):
-    if not items:
-        yield ()
-        return
-    for i, x in enumerate(items):
-        for rest in _permutations(items[:i] + items[i + 1 :]):
-            yield (x,) + rest

@@ -26,7 +26,6 @@ weight at least 3 on too few letters) are skipped before any enumeration;
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,8 +37,6 @@ from . import _kernel, gf3
 from .gf3 import SparseRow, rank_and_kernel  # noqa: F401
 from .grassmann import GElement, Monomial
 from ._kernel import key_from_syms, pack_sym
-
-logger = logging.getLogger("cml3.words")
 
 # Soft cap on the generator count; beyond it there is no ground truth and
 # the enumeration cost explodes.
@@ -146,18 +143,6 @@ class LeftNormedWord:
 
     head: int
     tail: tuple[tuple[int, int], ...] = ()
-
-    def to_word3(self) -> Word3:
-        tree: Union[int, tuple] = self.head
-        for a, b in self.tail:
-            tree = (tree, a, b)
-        return Word3(tree)
-
-    def letters(self) -> list[int]:
-        out = [self.head]
-        for a, b in self.tail:
-            out.extend((a, b))
-        return out
 
 
 @dataclass(frozen=True)
@@ -464,33 +449,47 @@ def candidate_types(n: int) -> list[TypeVector]:
     return out
 
 
-def _check_n(n: int, unsafe: bool):
-    if n < 1:
+def past_verified_range(scope: Union[int, TypeVector], unsafe: bool) -> bool:
+    """Whether a run on n = ``scope`` generators, or of one type, is past the cap.
+
+    The caps bound the range with ground truth: n <= MAX_SAFE_N, and a type
+    that fits on that many generators.  Past them a run raises
+    ``ValueError`` unless ``unsafe``; with it the run goes ahead and the
+    result is a speed figure, not a fact about the free loop.  An n below 1
+    raises ``ValueError`` either way.
+    """
+    if isinstance(scope, TypeVector):
+        past = (scope.letters > MAX_SAFE_LETTERS
+                or scope.weight > MAX_SAFE_WEIGHT)
+        label = f"type {scope}"
+    elif scope < 1:
         raise ValueError("n must be at least 1")
-    if n > MAX_SAFE_N and not unsafe:
+    else:
+        past = scope > MAX_SAFE_N
+        label = f"n={scope}"
+    if past and not unsafe:
         raise ValueError(
-            f"n={n} exceeds the supported range (max {MAX_SAFE_N}); "
-            "pass unsafe=True / --unsafe-n to proceed anyway"
+            f"{label} is past the verified range (n <= {MAX_SAFE_N}, "
+            f"letters <= {MAX_SAFE_LETTERS}, weight <= {MAX_SAFE_WEIGHT}); "
+            "pass --unsafe-n (unsafe=True) to run it unverified"
         )
-    if n > MAX_SAFE_N:
-        logger.warning("n=%d beyond verified range; expect long runtimes", n)
+    return past
 
 
 def enumerate_types(n: int, *, unsafe: bool = False) -> list[TypeVector]:
     """All types with a nonzero word span on n generators."""
-    _check_n(n, unsafe)
+    past_verified_range(n, unsafe)
     return [tv for tv in candidate_types(n) if h_of_type(tv) > 0]
 
 
 def dim_Cn(n: int, *, unsafe: bool = False) -> DimReport:
     """Dimension of the span of all 3-words on n generators, by type."""
-    _check_n(n, unsafe)
+    past_verified_range(n, unsafe)
     per_type = []
     total = 0
     for tv in candidate_types(n):
         h = h_of_type(tv)
         if h == 0:
-            logger.info("type %s has empty span", tv)
             continue
         c = c_n_of_type(n, tv)
         per_type.append((tv, h, c))

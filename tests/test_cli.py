@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src")
 
 
 def _env():
@@ -54,10 +56,62 @@ def test_h_even_weight_note():
 def test_h_over_cap_is_usage_error():
     # 1,7 is zero by the class bound, yet stays past the cap like any type
     for args in (("h", "--type", "9,9"), ("cn", "--n", "9", "--type", "9"),
-                 ("h", "--type", "1,7"), ("cn", "--n", "8", "--type", "1,7")):
+                 ("h", "--type", "1,7"), ("cn", "--n", "8", "--type", "1,7"),
+                 ("dim", "--n", "8"), ("types", "--n", "8"),
+                 ("verify", "--suite", "cml3", "--n", "8")):
         proc = run_cli(*args, check=False)
         _one_line_usage_error(proc)
         assert "--unsafe-n" in proc.stderr, args
+
+
+def test_past_cap_warns_in_one_line():
+    # every command that takes --unsafe-n says so when a run goes past the cap
+    for args in (("h", "--type", "7,1"), ("cn", "--n", "8", "--type", "7,1"),
+                 ("verify", "--suite", "identities", "--n", "8",
+                  "--samples", "2"),
+                 ("dim", "--n", "8")):
+        proc = run_cli(*args, "--unsafe-n")
+        assert len(proc.stderr.splitlines()) == 1, (args, proc.stderr)
+        assert proc.stderr.startswith("cml3: "), args
+    assert proc.stdout.endswith("total=4760\n")  # dim --n 8, run last
+
+
+def test_unsafe_n_only_where_a_cap_applies():
+    for args in (("tah",), ("mainid", "--mode", "algebra"),
+                 ("regular", "--case", "7")):
+        proc = run_cli(*args, "--unsafe-n", check=False)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+
+
+def test_identities_past_64_generators():
+    proc = run_cli("verify", "--suite", "identities", "--n", "70",
+                   "--unsafe-n", "--samples", "2")
+    assert proc.stdout.splitlines()[-1] == "pass=true"
+
+
+def test_cross_check_outside_case_7_is_usage_error():
+    proc = run_cli("regular", "--case", "5,2", "--cross-check", check=False)
+    _one_line_usage_error(proc)
+    assert proc.stdout == ""
+
+
+_LOGGING_PROBE = """
+import contextlib, io, sys
+import cml3.cli
+loaded = ["logging" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cml3.cli.main(["h", "--type", "7,1", "--unsafe-n"]) == 0
+loaded.append("logging" in sys.modules)
+print(loaded)
+"""
+
+
+def test_cli_does_not_load_logging():
+    proc = subprocess.run([sys.executable, "-c", _LOGGING_PROBE],
+                          capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False]\n"
 
 
 def test_cn_command():
@@ -343,3 +397,35 @@ def test_json_deterministic_across_runs():
         a = run_cli(*args, "--json").stdout
         b = run_cli(*args, "--json").stdout
         assert a == b, args
+
+
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_still_apply(tmp_path):
+    # perfbench/tracer.py patches names on the package by attribute; a
+    # traced run must print the untraced bytes and record the layers
+    tracer = _tracer()
+    for args, recorded in (
+        (("h", "--type", "5,2", "--json"), {"cli.handler", "words.h"}),
+        (("verify", "--suite", "identities", "--n", "4", "--samples", "5",
+          "--json"), {"cli.handler", "kernel.assoc_step"}),
+    ):
+        spans = tmp_path / "spans"
+        proc = subprocess.run(
+            [sys.executable, TRACER, str(spans), "--", *args],
+            capture_output=True, env=_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*args).stdout.encode(), args
+        header, columns = tracer.read_spans(str(spans))
+        names = header["names"]
+        assert {"cli.handler", "words.h"} <= set(names)
+        assert recorded <= {names[i] for i in columns[0]}, args
