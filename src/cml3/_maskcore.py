@@ -7,10 +7,11 @@ OR (the product) and a popcount (the sign).  This is the bitmap
 basis-blade method of Dorst, Fontijne & Mann, *Geometric Algebra for
 Computer Science* (2007), specialised to an exterior algebra over GF(3).
 
-The results equal :func:`cml3._purecore.cmul_terms` exactly; only the
-insertion order of the returned dict differs.  The per-call numpy set-up
-costs more than the dict kernel spends on small inputs, so
-:mod:`cml3._kernel` sends only large products here.
+The results equal :func:`cml3._purecore.cmul_terms` and
+:func:`cml3._purecore.square_terms` exactly; only the insertion order of
+the returned dict differs.  The per-call numpy set-up costs more than the
+dict kernel spends on small inputs, so :mod:`cml3._kernel` sends only
+large products here.
 """
 
 import numpy as np
@@ -89,17 +90,26 @@ class _Accumulator:
         return masks[starts][keep], sums[keep]
 
 
-def _wedge_into(acc, am, ac, bm, bc):
-    """Add ``a ^ b`` to ``acc``, for elements given as arrays."""
+def _wedge_into(acc, am, ac, bm, bc, upper=False):
+    """Add ``a ^ b`` to ``acc``, for elements given as arrays.
+
+    With ``upper``, ``a`` and ``b`` are the same monomials and only the
+    pairs (i, j) with i < j are added.
+    """
     if not len(am) or not len(bm):
         return
     bq = _below_parity(bm)
     rows = max(1, BLOCK_PAIRS // len(bm))
     for lo in range(0, len(am), rows):
         a = am[lo:lo + rows, None]
-        ai, bi = np.nonzero((a & bm) == 0)
+        # the block's column j > row i starts at column lo + 1, and within
+        # the block it is the upper triangle, diagonal included
+        start = lo + 1 if upper else 0
+        free = (a & bm[start:]) == 0
+        ai, bi = np.nonzero(np.triu(free) if upper else free)
         if not len(ai):
             continue
+        bi += start
         a = a[ai, 0]
         # each pair (bit of a above a bit of b) is one transposition
         odd = np.bitwise_count(a & bq[bi]) & 1
@@ -144,6 +154,34 @@ def _decode(masks, coeffs, symbols) -> dict:
     return out
 
 
+def _odd_successors(syms, lengths, odd):
+    """The successors of the symbols of the odd monomials.
+
+    Raises ``OverflowError`` when one of those symbols is at ``MAX_DER``.
+    """
+    odd_syms = syms[np.repeat(odd, lengths)]
+    if np.any((odd_syms & DER_MASK) == MAX_DER):
+        raise OverflowError("derivation order overflow")
+    return odd_syms + 1
+
+
+def _symbols(used):
+    """The distinct symbols of some uint16 arrays, in increasing order."""
+    # a table over all uint16 symbols sorts and deduplicates them; unlike
+    # np.unique it pulls in no further numpy modules (numpy.ma, ~1 MB)
+    present = np.zeros(1 << 16, dtype=bool)
+    for syms in used:
+        present[syms] = True
+    return np.flatnonzero(present).astype(np.uint16)
+
+
+def _successor_bits(symbols):
+    """Bit b is set when ``symbols[b + 1]`` is the successor of ``symbols[b]``."""
+    succ_bits = np.flatnonzero(symbols[1:] == symbols[:-1] + 1)
+    return np.bitwise_or.reduce(_ONE << succ_bits.astype(np.uint64),
+                                initial=np.uint64(0))
+
+
 def cmul_terms(x: dict, y: dict):
     """Twisted commutative product, as :func:`cml3._purecore.cmul_terms`.
 
@@ -160,17 +198,8 @@ def cmul_terms(x: dict, y: dict):
     both_odd = bool(odd_x.any() and odd_y.any())
     used = [sx, sy]
     if both_odd:
-        odd_syms = np.concatenate(
-            (sx[np.repeat(odd_x, lx)], sy[np.repeat(odd_y, ly)]))
-        if np.any((odd_syms & DER_MASK) == MAX_DER):
-            raise OverflowError("derivation order overflow")
-        used.append(odd_syms + 1)
-    # a table over all uint16 symbols sorts and deduplicates them; unlike
-    # np.unique it pulls in no further numpy modules (numpy.ma, ~1 MB)
-    present = np.zeros(1 << 16, dtype=bool)
-    for syms in used:
-        present[syms] = True
-    symbols = np.flatnonzero(present).astype(np.uint16)
+        used += [_odd_successors(sx, lx, odd_x), _odd_successors(sy, ly, odd_y)]
+    symbols = _symbols(used)
     if len(symbols) > 64:
         return None
 
@@ -181,11 +210,41 @@ def cmul_terms(x: dict, y: dict):
     _wedge_into(acc, mx[~odd_x], cx[~odd_x], my, cy)
     _wedge_into(acc, mx[odd_x], cx[odd_x], my[~odd_y], cy[~odd_y])
     if both_odd:
-        succ_bits = np.flatnonzero(symbols[1:] == symbols[:-1] + 1)
-        succ = np.bitwise_or.reduce(_ONE << succ_bits.astype(np.uint64),
-                                    initial=np.uint64(0))
+        succ = _successor_bits(symbols)
         xo, cxo = mx[odd_x], cx[odd_x]
         yo, cyo = my[odd_y], cy[odd_y]
         _wedge_into(acc, *_derive(xo, cxo, succ), yo, cyo)
         _wedge_into(acc, xo, 2 * cxo, *_derive(yo, cyo, succ))
+    return _decode(*acc.reduce(), symbols)
+
+
+def square_terms(x: dict):
+    """``cmul_terms(x, x)``, as :func:`cml3._purecore.square_terms`.
+
+    x*x = c0^2 [1] + 2 sum_{i<j} ci cj ei^ej + 2 e^o + 2 d(o)^o for
+    x = e + o, so every pair is taken once and o is derived once.  Returns
+    ``None`` past 64 symbols and raises ``OverflowError`` as ``cmul_terms``.
+    """
+    if not x:
+        return {}
+    sx, lx, cx = _split(x)
+    odd = (lx & 1) == 1
+    used = [sx]
+    if odd.any():
+        used.append(_odd_successors(sx, lx, odd))
+    symbols = _symbols(used)
+    if len(symbols) > 64:
+        return None
+
+    m = _masks(sx, lx, symbols)
+    me, ce = m[~odd], cx[~odd]
+    mo, co = m[odd], cx[odd]
+    acc = _Accumulator()
+    unit = me == 0
+    acc.add(me[unit], ce[unit] * ce[unit])
+    _wedge_into(acc, me, 2 * ce, me, ce, upper=True)
+    _wedge_into(acc, me, 2 * ce, mo, co)
+    if len(mo):
+        dm, dc = _derive(mo, co, _successor_bits(symbols))
+        _wedge_into(acc, dm, 2 * dc, mo, co)
     return _decode(*acc.reduce(), symbols)

@@ -6,8 +6,9 @@ derivation order as ``(base << 6) | order``.  An element is a dict mapping
 monomial keys to coefficients in {1, 2}; absent keys have coefficient 0.
 
 These are the package's kernel ops, re-exported by :mod:`cml3._kernel`;
-twisted products above its ``MASK_MIN_PAIRS`` go to :mod:`cml3._maskcore`
-instead.  The tests use this module as the oracle for that kernel.
+twisted products and squares above its ``MASK_MIN_PAIRS`` go to
+:mod:`cml3._maskcore` instead.  The tests use this module as the oracle
+for that kernel.
 """
 
 from array import array
@@ -173,6 +174,44 @@ def cmul_terms(x: dict, y: dict) -> dict:
                 if merged is None:
                     continue
                 _acc(out, key_from_syms(merged), cx * cy * sign)
+    return out
+
+
+def square_terms(x: dict) -> dict:
+    """``cmul_terms(x, x)`` from half the monomial pairs.
+
+    Write x = e + o with e even and o odd.  Even monomials commute and
+    m ^ m = 0 unless m is the unit, even parts commute with everything,
+    and m ^ d(m') = -d(m') ^ m for odd monomials, as d keeps the degree.
+    So with c0 the coefficient of the unit
+
+        x*x = c0^2 [1] + 2 sum_{i<j} ci cj ei^ej + 2 e^o + 2 d(o)^o.
+    """
+    out = {}
+    even = []
+    odd = {}
+    for k, c in x.items():
+        if len(k) & 2:
+            odd[k] = c
+        else:
+            even.append((syms_from_key(k), c))
+    odds = [(syms_from_key(k), c) for k, c in odd.items()]
+    for i, (se, ce) in enumerate(even):
+        if not se:
+            _acc(out, b"", ce * ce)
+        for partner in (even[i + 1:], odds):
+            for sy, cy in partner:
+                merged, sign = _merge(se, sy)
+                if merged is None:
+                    continue
+                _acc(out, key_from_syms(merged), 2 * ce * cy * sign)
+    for kd, cd in derive_terms(odd).items():
+        sd = syms_from_key(kd)
+        for so, co in odds:
+            merged, sign = _merge(sd, so)
+            if merged is None:
+                continue
+            _acc(out, key_from_syms(merged), 2 * cd * co * sign)
     return out
 
 

@@ -119,7 +119,8 @@ def mono_mul(x: Monomial, y: Monomial) -> Optional[tuple[Monomial, int]]:
 class GElement:
     """A GF(3) linear combination of exterior monomials."""
 
-    __slots__ = ("_terms",)
+    # _hash is filled on the first hash() call; the terms never change
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[bytes, int] | None = None):
         cleaned = {}
@@ -169,7 +170,11 @@ class GElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self._terms.items()))
+            return self._hash
 
     def __add__(self, other: "GElement") -> "GElement":
         out = dict(self._terms)

@@ -10,10 +10,18 @@ Grassmann elements.
 
 All checks run on exact arithmetic: each reported pass is a proof for that
 instantiation, and failures carry the instantiation as a witness.
+
+Loop products are memoised by value in ``lmul`` (a bounded LRU cache), so
+a product a run has already made costs a lookup.  ``lmul(u, v)`` and
+``lmul(v, u)`` are separate entries, so commutativity still computes both
+sides, and ``linv`` checks each distinct element it inverts the first
+time; a repeat reuses that verdict.  Call ``lmul.cache_clear()`` before
+patching a kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -52,12 +60,20 @@ class LoopElement:
 
 LOOP_ONE = LoopElement(GElement.one())
 
+# Products kept by the lmul memo.  The suites remake the same small
+# products many times over (generator triples, repeated inverses, the
+# factors mainid shares); 1024 hold the repeats of a short run for about
+# 2 MB, while a long run such as verify_cml3(7, 500) outgrows them.
+LMUL_MEMO_SIZE = 1024
+
 
 def loop_generator(i: int) -> LoopElement:
     return LoopElement(GElement.one() + GElement.generator(i))
 
 
+@functools.lru_cache(maxsize=LMUL_MEMO_SIZE)
 def lmul(u: LoopElement, v: LoopElement) -> LoopElement:
+    """The loop product u*v, memoised on the values of u and v in order."""
     return LoopElement(cmul(u.value, v.value))
 
 
@@ -65,9 +81,11 @@ def linv(u: LoopElement) -> LoopElement:
     """Inverse by squaring; exponent 3 makes u*u the inverse.
 
     Raises NonInvertible when u * (u*u) is not the identity, which would
-    falsify the construction rather than describe bad input.
+    falsify the construction rather than describe bad input.  Both
+    products go through the ``lmul`` memo, so a repeated element costs two
+    lookups; an element's first inversion always runs the check.
     """
-    square = LoopElement(cmul(u.value, u.value))
+    square = lmul(u, u)
     if not lmul(u, square).is_one():
         raise NonInvertible(f"element violates exponent 3: {u}")
     return square

@@ -201,6 +201,21 @@ def test_malbos_reports_effective_n():
     assert below.stderr == ""
 
 
+def test_malbos_past_the_cap_runs_inside_the_verified_range():
+    args = ("verify", "--suite", "malbos", "--samples", "20", "--json")
+    proc = run_cli(*args, "--n", "8", "--unsafe-n")
+    # clamped to 6 generators, inside the cap: no unverified warning
+    assert json.loads(proc.stdout)["config"]["n"] == 6
+    assert proc.stdout == run_cli(*args, "--n", "6").stdout
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "unverified" not in proc.stderr
+    assert "malbos" in proc.stderr
+    # the requested n is still held to the cap
+    proc = run_cli(*args, "--n", "8", check=False)
+    _one_line_usage_error(proc)
+    assert "--unsafe-n" in proc.stderr
+
+
 def _one_line_usage_error(proc):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

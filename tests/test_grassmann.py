@@ -134,3 +134,20 @@ def test_parity_queries():
     mixed = g(0) + elem_mul(g(0), g(1))
     assert mixed.parity() is None
     assert mixed.even_part() + mixed.odd_part() == mixed
+
+
+def test_hash_ignores_insertion_order():
+    rng = random.Random(11)
+    for _ in range(20):
+        x = random_element(rng, nterms=6, nbases=5)
+        items = list(x.raw().items())
+        rng.shuffle(items)
+        y = GElement(dict(items))
+        assert y == x
+        assert hash(y) == hash(x)
+        # the cached hash is the one a fresh element computes
+        assert hash(x) == hash(GElement(dict(reversed(items))))
+    a = GElement.one() + GElement.generator(0) + GElement.generator(1)
+    b = GElement.generator(1) + GElement.generator(0) + GElement.one()
+    assert list(a.raw()) != list(b.raw())
+    assert hash(a) == hash(b) and len({a, b}) == 1

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from cml3 import loop
 from cml3.grassmann import GElement, elem_mul
 from cml3.loop import (
     LOOP_ONE,
     MALBOS_ONE,
     LoopElement,
     MalbosPair,
+    NonInvertible,
     lassoc,
     linv,
     lmul,
@@ -26,6 +28,19 @@ from cml3.twisted import associator, cmul
 
 def g(i, j=0):
     return GElement.generator(i, j)
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty lmul memo, emptied again afterwards.
+
+    A test that patches a kernel takes it: products from the real kernel
+    would otherwise answer for the patched one, and the patched products
+    must not outlive the test.
+    """
+    lmul.cache_clear()
+    yield
+    lmul.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +110,52 @@ def test_lassoc_lowest_degree_is_algebra_associator():
     a = lassoc(loop_generator(0), loop_generator(1), loop_generator(2))
     low = (a.value - GElement.one()).degree_part(3)
     assert low == associator(g(0), g(1), g(2))
+
+
+# ---------------------------------------------------------------------------
+# the lmul memo
+# ---------------------------------------------------------------------------
+
+def test_memo_keeps_products_ordered(cold_memo):
+    u, v = loop_generator(0), loop_generator(1)
+    assert lmul(u, v).value == lmul(v, u).value
+    # both sides computed: commutativity is checked, not looked up
+    assert lmul.cache_info().misses == 2
+    assert lmul.cache_info().hits == 0
+
+
+def test_linv_checks_each_element_once(cold_memo):
+    u = loop_generator(0)
+    first = linv(u)
+    assert lmul.cache_info().misses == 2  # the square and u * square
+    assert linv(LoopElement(u.value + GElement.zero())) is first
+    assert lmul.cache_info().misses == 2
+    assert lmul.cache_info().hits == 2
+
+
+def test_linv_raises_on_a_corrupted_product(monkeypatch, cold_memo):
+    def corrupted(x, y):
+        # keeps the constant term 1, so the result is still a loop element
+        return cmul(x, y) + g(9)
+
+    monkeypatch.setattr(loop, "cmul", corrupted)
+    with pytest.raises(NonInvertible):
+        linv(loop_generator(0))
+
+
+@pytest.mark.parametrize("suite,args", [
+    (verify_cml3, (6, 6, 201)),
+    (mainid_check, ("loop", 1, 152)),
+])
+def test_reports_equal_from_cold_and_warm_memo(suite, args, cold_memo):
+    cold = suite(*args)
+    misses = lmul.cache_info().misses
+    warm = suite(*args)
+    assert warm == cold
+    assert report_passed(cold)
+    # the warm run found products the cold run made
+    assert lmul.cache_info().hits > 0
+    assert lmul.cache_info().misses < 2 * misses
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Random inputs on both sides of ``_kernel.MASK_MIN_PAIRS``, unit and empty
 elements, and derivation overflow, each checked against ``_purecore`` and
-through the ``_kernel`` dispatch.
+through the ``_kernel`` dispatch.  Squares are checked the same way
+against the general product on a copy of the input.
 """
 
 import random
@@ -127,3 +128,93 @@ def test_derivation_overflow_raises_exactly_when_dict_kernels_do():
     # no odd-odd pair, or MAX_DER only in an even part: no derivation, no raise
     for x, y in ((odd_top, even), (even, odd_top), (even_top, odd)):
         _assert_matches(x, y)
+
+
+def _assert_square(x):
+    """Both square routes equal the general product on a copy of x."""
+    general = pure.cmul_terms(x, dict(x))
+    got = _maskcore.square_terms(x)
+    assert got is not None
+    assert got == general
+    assert pure.square_terms(x) == general
+    assert _kernel.cmul_terms(x, x) == general
+    assert all(type(c) is int and c in (1, 2) for c in got.values())
+
+
+@pytest.mark.parametrize("parities", [(0, 1), (0,), (1,)])
+def test_square_on_both_sides_of_the_cut(parities):
+    rng = random.Random(len(parities) * 10 + parities[0])
+    cut = _kernel.MASK_MIN_PAIRS
+    for nterms in (1, 5, 16, 17, 40, 120):
+        for _ in range(3):
+            x = _random_terms(rng, nterms, parities=parities)
+            _assert_square(x)
+            if parities == (0, 1):
+                x[b""] = 1  # a loop element 1 + a
+                _assert_square(x)
+    assert 16 * 16 <= cut < 17 * 17
+
+
+def test_square_with_blocked_accumulation():
+    # the upper triangle spans several row blocks of BLOCK_PAIRS
+    rng = random.Random(5)
+    x = _random_terms(rng, 400, nbases=10, maxlen=6, maxder=2)
+    assert len(x) ** 2 > 4 * _maskcore.BLOCK_PAIRS
+    _assert_square(x)
+
+
+def test_square_of_unit_and_empty():
+    one = {b"": 1}
+    for kernel in (pure, _maskcore):
+        assert kernel.square_terms(one) == one
+        assert kernel.square_terms({b"": 2}) == one
+        assert kernel.square_terms({}) == {}
+    assert _kernel.cmul_terms(one, one) == one
+    assert _kernel.cmul_terms({}, {}) == {}
+
+
+def test_square_with_successor_present():
+    s0, s1, s2 = pack_sym(0, 1), pack_sym(0, 2), pack_sym(1, 0)
+    x = {key_from_syms([s0, s1, s2]): 1, key_from_syms([s0]): 2,
+         key_from_syms([s2]): 1, key_from_syms([s1, pack_sym(1, 1)]): 2}
+    _assert_square(x)
+    rng = random.Random(6)
+    for _ in range(10):
+        x = _random_terms(rng, 20, nbases=3, maxder=2, parities=(1,))
+        _assert_square(x)
+
+
+def test_square_past_64_symbols_falls_back(monkeypatch):
+    monkeypatch.setattr(_kernel, "MASK_MIN_PAIRS", 0)
+    # even-only squares add no successors: 64 symbols fit, 66 do not
+    x = {key_from_syms([pack_sym(b), pack_sym(b + 1)]): 1
+         for b in range(0, 64, 2)}
+    _assert_square(x)
+    x[key_from_syms([pack_sym(100), pack_sym(101)])] = 2
+    assert _maskcore.square_terms(x) is None
+    assert _kernel.cmul_terms(x, x) == pure.cmul_terms(x, dict(x))
+    # odd: 40 symbols and their 40 successors
+    x = {key_from_syms([pack_sym(b)]): 1 for b in range(40)}
+    assert _maskcore.square_terms(x) is None
+    assert _kernel.cmul_terms(x, x) == pure.cmul_terms(x, dict(x))
+
+
+def test_square_overflow_raises_exactly_when_the_general_product_does():
+    top = pack_sym(0, MAX_DER)
+    rng = random.Random(7)
+    big = _random_terms(rng, 30, parities=(0,))
+    odd_top = {key_from_syms([top]): 1, key_from_syms([pack_sym(1)]): 1}
+    even_top = {key_from_syms([top, pack_sym(3)]): 2}
+    # under and over the cut
+    for x in (odd_top, {**odd_top, **big}):
+        with pytest.raises(OverflowError):
+            pure.cmul_terms(x, dict(x))
+        for kernel in (pure, _maskcore):
+            with pytest.raises(OverflowError):
+                kernel.square_terms(x)
+        with pytest.raises(OverflowError):
+            _kernel.cmul_terms(x, x)
+    # MAX_DER only in an even monomial: no derivation, no raise
+    for x in (even_top, {**even_top, **big}, {**even_top, **big,
+                                              key_from_syms([pack_sym(1)]): 1}):
+        _assert_square(x)

@@ -7,6 +7,9 @@ The oracle keys a monomial by a Python int with one bit per packed symbol
   their OR otherwise, with sign ``(mx & odd_below(my)).bit_count() & 1``;
 - ``d`` of a monomial is ``m + low`` for each set bit ``low`` whose
   successor bit is clear.
+
+Squares below ``_kernel.MASK_MIN_PAIRS`` are checked here against the
+general product; larger ones in ``test_maskcore.py``.
 """
 
 import random
@@ -14,6 +17,7 @@ from array import array
 
 import pytest
 
+from cml3 import _kernel
 from cml3 import _purecore as pure
 from cml3._purecore import MAX_DER, pack_sym
 
@@ -140,3 +144,55 @@ def test_derivation_overflow_raises():
             pure.assoc_step(x, pack_sym(2), pack_sym(3))
     below = array("H", [pack_sym(0, MAX_DER - 1)]).tobytes()
     assert pure.derive_terms({below: 1}) == {top: 1}
+
+
+def _assert_square(x):
+    """The square route equals the general product on a copy of x."""
+    general = pure.cmul_terms(x, dict(x))
+    assert pure.square_terms(x) == general
+    assert _kernel.cmul_terms(x, x) == general
+    assert _from_masks(oracle_cmul(_to_masks(x), _to_masks(x))) == general
+
+
+@pytest.mark.parametrize("parity", ["mixed", "even", "odd"])
+def test_square_matches_the_general_product(parity):
+    # small inputs: the squares stay under the mask kernel's cut
+    rng = random.Random(len(parity))
+    keep = {"mixed": (0, 1), "even": (0,), "odd": (1,)}[parity]
+    for _ in range(200):
+        # few bases and deep orders put s and s + 1 in one odd monomial
+        x = _random_terms(rng, rng.randrange(1, 12), 4, 3)
+        x = {k: c for k, c in x.items() if len(k) // 2 % 2 in keep}
+        assert len(x) ** 2 <= _kernel.MASK_MIN_PAIRS
+        _assert_square(x)
+
+
+def test_square_of_unit_and_empty():
+    one = {b"": 1}
+    assert pure.square_terms(one) == _kernel.cmul_terms(one, one) == one
+    assert pure.square_terms({b"": 2}) == one
+    assert pure.square_terms({}) == _kernel.cmul_terms({}, {}) == {}
+
+
+def test_square_with_successor_in_one_odd_monomial():
+    s0, s1, s2 = pack_sym(0, 1), pack_sym(0, 2), pack_sym(1, 0)
+    key = array("H", [s0, s1, s2]).tobytes()
+    x = {key: 1, array("H", [s0]).tobytes(): 2, array("H", [s2]).tobytes(): 1}
+    _assert_square(x)
+    _assert_square({**x, b"": 1})
+
+
+def test_square_overflow_raises_exactly_when_the_general_product_does():
+    top = array("H", [pack_sym(0, MAX_DER)]).tobytes()
+    odd = array("H", [pack_sym(1)]).tobytes()
+    even_top = array("H", [pack_sym(0, MAX_DER), pack_sym(1)]).tobytes()
+    for x in ({top: 1}, {top: 1, b"": 1}, {odd: 2, top: 1}):
+        with pytest.raises(OverflowError):
+            pure.cmul_terms(x, dict(x))
+        with pytest.raises(OverflowError):
+            pure.square_terms(x)
+        with pytest.raises(OverflowError):
+            _kernel.cmul_terms(x, x)
+    # MAX_DER only in the even part: no derivation, no raise
+    for x in ({even_top: 1}, {even_top: 2, odd: 1, b"": 1}):
+        _assert_square(x)
