@@ -9,9 +9,15 @@ These are the package's kernel ops, re-exported by :mod:`cml3._kernel`;
 twisted products and squares above its ``MASK_MIN_PAIRS`` go to
 :mod:`cml3._maskcore` instead.  The tests use this module as the oracle
 for that kernel.
+
+``wedge_terms`` looks each monomial-pair product up in ``_wedge_keys``, an
+LRU cache of ``WEDGE_MEMO_SIZE`` entries keyed by the two monomial keys in
+order: the malbos suite makes the same few thousand pair products hundreds
+of thousands of times.  The other ops are not memoised.
 """
 
 from array import array
+from functools import lru_cache
 
 DER_BITS = 6
 DER_MASK = (1 << DER_BITS) - 1
@@ -93,19 +99,28 @@ def _acc(out, key, delta):
         del out[key]
 
 
+# Monomial pairs kept by the wedge memo: an entry holds the two factor keys
+# and the product, about 200 bytes, so a full memo stays under 1 MB.
+WEDGE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=WEDGE_MEMO_SIZE)
+def _wedge_keys(kx: bytes, ky: bytes):
+    """Product of two monomials: (key, sign in {1, 2}), or None when zero."""
+    merged, sign = _merge(syms_from_key(kx), syms_from_key(ky))
+    if merged is None:
+        return None
+    return key_from_syms(merged), sign
+
+
 def wedge_terms(x: dict, y: dict) -> dict:
     """Exterior product of two elements."""
     out = {}
-    if not x or not y:
-        return out
-    ys = [(syms_from_key(k), c) for k, c in y.items()]
     for kx, cx in x.items():
-        sx = syms_from_key(kx)
-        for sy, cy in ys:
-            merged, sign = _merge(sx, sy)
-            if merged is None:
-                continue
-            _acc(out, key_from_syms(merged), cx * cy * sign)
+        for ky, cy in y.items():
+            product = _wedge_keys(kx, ky)
+            if product is not None:
+                _acc(out, product[0], cx * cy * product[1])
     return out
 
 

@@ -169,13 +169,11 @@ def _run_types(args):
 def _run_verify(args):
     from . import loop
 
-    if args.suite == "malbos" and args.n > loop.MALBOS_MAX_N:
+    clamped = args.suite == "malbos" and args.n > loop.MALBOS_MAX_N
+    if clamped:
         # the requested n is still held to the cap; the warning and the
         # config then speak of the n the suite runs on
         words.past_verified_range(args.n, args.unsafe_n)
-        print(f"cml3: the malbos suite runs on at most "
-              f"{loop.MALBOS_MAX_N} generators; using --n "
-              f"{loop.MALBOS_MAX_N}", file=sys.stderr)
         args.n = loop.MALBOS_MAX_N
     _check_range(args.n, args)
     if args.suite == "cml3":
@@ -184,6 +182,11 @@ def _run_verify(args):
         report = loop.verify_identities(args.n, args.samples, args.seed)
     else:
         report = loop.malbos_verify(args.n, args.samples, args.seed)
+    if clamped:
+        # after the run, so that a rejected --samples prints one line only
+        print(f"cml3: the malbos suite runs on at most "
+              f"{loop.MALBOS_MAX_N} generators; using --n "
+              f"{loop.MALBOS_MAX_N}", file=sys.stderr)
     passed = loop.report_passed(report)
     results = {"suite": args.suite, "checks": report}
     lines = [

@@ -15,8 +15,12 @@ Loop products are memoised by value in ``lmul`` (a bounded LRU cache), so
 a product a run has already made costs a lookup.  ``lmul(u, v)`` and
 ``lmul(v, u)`` are separate entries, so commutativity still computes both
 sides, and ``linv`` checks each distinct element it inverts the first
-time; a repeat reuses that verdict.  Call ``lmul.cache_clear()`` before
-patching a kernel.
+time; a repeat reuses that verdict.  The chain identities evaluate their
+left-normed chains through a ``_ChainMemo``, one per identity, which keeps
+the value of every proper chain prefix it has stepped and drops them all
+with the identity.  The kernel's wedge memo, ``_purecore._wedge_keys``,
+also outlives a call: call ``lmul.cache_clear()`` and
+``_purecore._wedge_keys.cache_clear()`` before patching a kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import twowords
+from . import _kernel, twowords
+from ._kernel import key_from_syms, pack_sym
 from .grassmann import GElement, elem_mul
 from .twisted import associator, cmul
 from .words import LeftNormedWord, Word3, eval_word
@@ -245,6 +250,11 @@ EXHAUSTIVE_CAP = 10_000
 def _instantiation_tuples(n: int, arity: int, samples: int, seed: int):
     if n**arity <= EXHAUSTIVE_CAP:
         return list(itertools.product(range(n), repeat=arity)), "exhaustive"
+    if samples < 1:
+        # a check over no tuple would pass vacuously
+        raise ValueError(
+            f"{arity}-letter identities on {n} generators are sampled; "
+            f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     return [
         tuple(rng.randrange(n) for _ in range(arity)) for _ in range(samples)
@@ -261,8 +271,45 @@ class _Identity(dict):
 _ident = _Identity()
 
 
-def _chain(head: int, pairs) -> GElement:
-    return eval_word(LeftNormedWord(head, tuple(pairs)), _ident)
+class _ChainMemo:
+    """Left-normed chains on generators, sharing their proper prefixes.
+
+    ``chain(head, pairs)`` is ``eval_word(LeftNormedWord(head, pairs),
+    _ident)``.  ``prefixes`` maps ``(head, pairs prefix)`` to the raw term
+    dict of every proper prefix stepped so far; the last pair of a chain is
+    stepped without being stored.  A vanishing prefix stops the chain, as
+    in ``eval_word``.  The term dicts are shared with the returned
+    elements and never mutated, as no ``GElement`` operation mutates the
+    terms it wraps.  Every step goes through ``_kernel.assoc_step``, where
+    a tracer finds it.
+    """
+
+    def __init__(self):
+        self.prefixes: dict = {}
+
+    def __call__(self, head: int, pairs) -> GElement:
+        pairs = tuple(pairs)
+        if not pairs:
+            return GElement.generator(head)
+        value = self._prefix(head, pairs[:-1])
+        return GElement._wrap(self._step(value, pairs[-1]))
+
+    def _prefix(self, head: int, pairs: tuple) -> dict:
+        key = (head, pairs)
+        value = self.prefixes.get(key)
+        if value is None:
+            if pairs:
+                value = self._step(self._prefix(head, pairs[:-1]), pairs[-1])
+            else:
+                value = {key_from_syms((pack_sym(head),)): 1}
+            self.prefixes[key] = value
+        return value
+
+    @staticmethod
+    def _step(value: dict, pair) -> dict:
+        if not value:
+            return value
+        return _kernel.assoc_step(value, pack_sym(pair[0]), pack_sym(pair[1]))
 
 
 def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
@@ -270,51 +317,53 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
 
     Each identity is evaluated on every generator tuple when the count
     stays under the exhaustive cap, otherwise on seeded tuples; a failure
-    reports the instantiation.
+    reports the instantiation.  A sampled identity needs ``samples >= 1``:
+    with none, ``ValueError`` is raised rather than a vacuous pass.  Each
+    check takes its tuple and the identity's ``_ChainMemo``.
     """
     _require_generators(n)
     report = []
 
-    def run(identity: str, arity: int, check: Callable[[tuple], bool]):
+    def run(identity: str, arity: int,
+            check: Callable[[tuple, _ChainMemo], bool]):
         tuples, mode = _instantiation_tuples(n, arity, samples, seed)
-        labeled = [(f"{mode}{t}", t) for t in tuples]
-        report.append(_entry(
-            identity, len(tuples), _failures_over(labeled, check)
-        ))
+        chain = _ChainMemo()
+        failures = [f"{mode}{t}" for t in tuples if not check(t, chain)]
+        report.append(_entry(identity, len(tuples), failures))
 
     # one-slot chain ((x,y,a),a,z): skew-symmetric in x, y, z
-    def one_slot_skew(t):
+    def one_slot_skew(t, chain):
         x, y, a, z = t
-        base = _chain(x, [(y, a), (a, z)])
+        base = chain(x, [(y, a), (a, z)])
         return (
-            base + _chain(y, [(x, a), (a, z)]) == GElement.zero()
-            and base + _chain(x, [(z, a), (a, y)]) == GElement.zero()
+            base + chain(y, [(x, a), (a, z)]) == GElement.zero()
+            and base + chain(x, [(z, a), (a, y)]) == GElement.zero()
         )
 
     run("chain_skew_xyz", 4, one_slot_skew)
 
     # two-slot chain ((((x,y,a),a,b),b,z): symmetric in the slot letters a, b
-    def two_slot_symmetry(t):
+    def two_slot_symmetry(t, chain):
         x, y, a, b, z = t
-        return _chain(x, [(y, a), (a, b), (b, z)]) == _chain(
+        return chain(x, [(y, a), (a, b), (b, z)]) == chain(
             x, [(y, b), (b, a), (a, z)]
         )
 
     run("chain_slot_symmetry", 5, two_slot_symmetry)
 
     # ... and skew-symmetric in x, y, z
-    def two_slot_skew(t):
+    def two_slot_skew(t, chain):
         x, y, a, b, z = t
-        base = _chain(x, [(y, a), (a, b), (b, z)])
+        base = chain(x, [(y, a), (a, b), (b, z)])
         return (
-            base + _chain(z, [(y, a), (a, b), (b, x)]) == GElement.zero()
-            and base + _chain(y, [(x, a), (a, b), (b, z)]) == GElement.zero()
+            base + chain(z, [(y, a), (a, b), (b, x)]) == GElement.zero()
+            and base + chain(y, [(x, a), (a, b), (b, z)]) == GElement.zero()
         )
 
     run("chain_skew_outer", 5, two_slot_skew)
 
     # ((x,y,z),a,b) = ((x,a,b),y,z) + (x,(y,a,b),z) + (x,y,(z,a,b))
-    def rewrite4(t):
+    def rewrite4(t, _):
         x, y, z, a, b = t
         lhs = eval_word(Word3((((x, y, z), a, b))), _ident)
         rhs = (
@@ -327,25 +376,25 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     run("associator_rewrite", 5, rewrite4)
 
     # ia.ja.pa = 0
-    def triple_slot(t):
+    def triple_slot(t, chain):
         x, i, j, p, a = t
-        return not _chain(x, [(i, a), (j, a), (p, a)])
+        return not chain(x, [(i, a), (j, a), (p, a)])
 
     run("triple_slot_vanishes", 5, triple_slot)
 
     # full linearization of ia.ja.pa = 0
-    def triple_slot_linear(t):
+    def triple_slot_linear(t, chain):
         x, i, j, p, a, b, c = t
         total = GElement.zero()
         for s1, s2, s3 in ((a, b, c), (a, c, b), (b, a, c),
                            (b, c, a), (c, a, b), (c, b, a)):
-            total = total + _chain(x, [(i, s1), (j, s2), (p, s3)])
+            total = total + chain(x, [(i, s1), (j, s2), (p, s3)])
         return not total
 
     run("triple_slot_linearized", 7, triple_slot_linear)
 
     # associator of odd elements is the derivation of their product
-    def shortcut(t):
+    def shortcut(t, _):
         x, y, z = (GElement.generator(i) for i in t)
         return associator(x, y, z) == elem_mul(elem_mul(x, y), z).derive()
 
@@ -364,6 +413,7 @@ def _schema_soundness(n: int, samples: int, seed: int) -> dict:
         letters = schema.letters
         arity = len(letters) + 1  # plus the head
         tuples, mode = _instantiation_tuples(n, arity, max(1, samples), seed)
+        chain = _ChainMemo()
         for t in tuples:
             head, rest = t[0], t[1:]
             assign = dict(zip(letters, rest))
@@ -372,7 +422,7 @@ def _schema_soundness(n: int, samples: int, seed: int) -> dict:
                 pairs = [(assign[a], assign[b]) for a, b in pattern]
                 if any(a == b for a, b in pairs):
                     continue
-                total = total + _chain(head, pairs).scale(coeff)
+                total = total + chain(head, pairs).scale(coeff)
             checked += 1
             if total:
                 failures.append(f"{name}:{mode}{t}")
@@ -497,10 +547,8 @@ def _sample_odd(rng: random.Random, n: int) -> GElement:
         if size > n:
             size = 1
         picks = sorted(rng.sample(range(n), size))
-        mono = GElement.one()
-        for g in picks:
-            mono = elem_mul(mono, GElement.generator(g))
-        out = out + mono.scale(rng.choice((1, 2)))
+        key = key_from_syms(pack_sym(g) for g in picks)
+        out = out + GElement._wrap({key: rng.choice((1, 2))})
     return out
 
 
@@ -511,9 +559,14 @@ MALBOS_MAX_N = 6
 def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     """Commutativity, Moufang and exponent 3 for the pair model.
 
-    Runs on min(n, MALBOS_MAX_N) generators.
+    Runs on min(n, MALBOS_MAX_N) generators.  Moufang is checked on
+    consecutive triples of the identity and the samples, so ``samples``
+    below 2 would check none; that raises ``ValueError``.
     """
     _require_generators(n)
+    if samples < 2:
+        raise ValueError(
+            f"the malbos suite needs samples >= 2, got {samples}")
     n = min(n, MALBOS_MAX_N)
     rng = random.Random(seed)
     pairs = [MALBOS_ONE]

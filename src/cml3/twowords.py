@@ -13,7 +13,9 @@ embedded as a contiguous pair block at every offset, with all arrangements
 of the remaining letters around it; echelon reduction of the resulting span
 (largest word as leading monomial) yields the irregular words, and their
 complement in the word universe bounds the dimension of the case from
-above.
+above.  The span rows are built on flat int tuples, not ``Pair`` objects:
+each instantiation's signed pair blocks once, each arrangement of the
+remaining letters once, and then one word-index lookup per term.
 """
 
 from __future__ import annotations
@@ -306,13 +308,46 @@ def _instantiations(schema: RelationSchema, counts: dict[int, int]):
     yield from rec(0, {}, {})
 
 
+def _flat(pairs: Iterable[Pair]) -> tuple[int, ...]:
+    """Canonical pairs as one flat int tuple: lo, hi of each pair in turn."""
+    return tuple(x for p in pairs for x in (p.lo, p.hi))
+
+
+def _signed_blocks(schema: RelationSchema, assign: dict[str, int]):
+    """An instantiation's terms as (sign mod 3, canonical pair block).
+
+    A block is the ``_flat`` form of the term's canonical pairs; terms with
+    a degenerate pair vanish and are left out.
+    """
+    blocks = []
+    for coeff, pattern in schema.terms:
+        sign = coeff
+        block = []
+        for a, b in pattern:
+            la, lb = assign[a], assign[b]
+            if la == lb:
+                break
+            if la > lb:
+                la, lb = lb, la
+                sign = -sign
+            block += (la, lb)
+        else:
+            blocks.append((sign % 3, tuple(block)))
+    return blocks
+
+
 def _span_rows_indexed(case: TypeVector, relation_set: str, words):
-    """Span rows as dicts keyed by universe index, deduplicated up to scalar."""
+    """Span rows as dicts keyed by universe index, deduplicated up to scalar.
+
+    Each instantiation's signed blocks are built once; a row is then one
+    index lookup per term, of the fill's head, the block and the fill's
+    tail, all in ``_flat`` form.
+    """
     counts = case_letters(case)
     word_len = sum(counts.values()) // 2
     if word_len == 0:
         return []
-    index = {w.pairs: i for i, w in enumerate(words)}
+    index = {_flat(w.pairs): i for i, w in enumerate(words)}
     rows: list[dict] = []
     seen: set = set()
     fill_cache: dict = {}
@@ -325,21 +360,28 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
             )
         need = schema.term_multiset()
         for assign in _instantiations(schema, counts):
-            remaining = []
+            blocks = _signed_blocks(schema, assign)
+            if not blocks:
+                continue
             rem = dict(counts)
             for p, letter in assign.items():
                 rem[letter] -= need[p]
-            for k in sorted(rem):
-                if rem[k]:
-                    remaining.append((k, rem[k]))
-            remaining = tuple(remaining)
+            remaining = tuple((k, rem[k]) for k in sorted(rem) if rem[k])
             fills = fill_cache.get(remaining)
             if fills is None:
-                fills = list(_pairings(dict(remaining)))
+                fills = [_flat(fill) for fill in _pairings(dict(remaining))]
                 fill_cache[remaining] = fills
             for offset in range(word_len - schema.length + 1):
                 for fill in fills:
-                    row = _build_row(schema, assign, offset, fill, index)
+                    head, tail = fill[:2 * offset], fill[2 * offset:]
+                    row: dict[int, int] = {}
+                    for sign, block in blocks:
+                        key = index[head + block + tail]
+                        c = (row.get(key, 0) + sign) % 3
+                        if c:
+                            row[key] = c
+                        else:
+                            row.pop(key, None)
                     if not row:
                         continue
                     items = tuple(sorted(row.items()))
@@ -368,37 +410,6 @@ def relation_span(
     return [
         SparseRow({words[i]: c for i, c in row.items()}) for row in rows
     ]
-
-
-def _build_row(schema, assign, offset, fill, index) -> dict:
-    row: dict[int, int] = {}
-    for coeff, pattern in schema.terms:
-        raw = []
-        ok = True
-        for a, b in pattern:
-            la, lb = assign[a], assign[b]
-            if la == lb:
-                ok = False
-                break
-            raw.append((la, lb))
-        if not ok:
-            continue
-        sign = coeff
-        pairs = list(fill[:offset])
-        for a, b in raw:
-            if a < b:
-                pairs.append(Pair(a, b))
-            else:
-                pairs.append(Pair(b, a))
-                sign = -sign
-        pairs.extend(fill[offset:])
-        key = index[tuple(pairs)]
-        c = (row.get(key, 0) + sign) % 3
-        if c:
-            row[key] = c
-        elif key in row:
-            del row[key]
-    return row
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,26 @@ def test_negative_samples_is_usage_error():
     _one_line_usage_error(proc)
 
 
+def test_vacuous_samples_are_usage_errors():
+    # each would check some identity on no instantiation at all
+    for args in (
+        ("--suite", "identities", "--n", "7", "--samples", "0"),
+        ("--suite", "malbos", "--samples", "0"),
+        ("--suite", "malbos", "--samples", "1"),
+        ("--suite", "malbos", "--n", "3", "--samples", "1", "--json"),
+    ):
+        proc = run_cli("verify", *args, check=False)
+        _one_line_usage_error(proc)
+        assert "samples" in proc.stderr, args
+        assert proc.stdout == "", args
+    # generator instantiations still run with no samples
+    for args in (("verify", "--suite", "cml3", "--n", "2"),
+                 ("verify", "--suite", "identities", "--n", "3"),
+                 ("mainid", "--mode", "loop")):
+        proc = run_cli(*args, "--samples", "0")
+        assert proc.stdout.endswith("pass=true\n"), args
+
+
 def test_n_below_one_is_usage_error():
     for args in (
         ("verify", "--suite", "cml3", "--samples", "5"),
@@ -396,9 +416,17 @@ def test_golden_files():
         "h", "--type", "5,2", "--expect", os.path.join(GOLDEN, "h_5_2.txt")
     )
     assert proc.returncode == 0
-    for name, args in (("dim_n5.json", ("dim", "--n", "5")),
-                       ("dim_n7.json", ("dim", "--n", "7")),
-                       ("types_n7.json", ("types", "--n", "7"))):
+    for name, args in (
+        ("dim_n5.json", ("dim", "--n", "5")),
+        ("dim_n7.json", ("dim", "--n", "7")),
+        ("types_n7.json", ("types", "--n", "7")),
+        ("regular_52.json", ("regular", "--case", "5,2")),
+        ("identities_n7_seed5.json", ("verify", "--suite", "identities",
+                                      "--n", "7", "--samples", "1000",
+                                      "--seed", "5")),
+        ("malbos_n6_seed5.json", ("verify", "--suite", "malbos", "--n", "6",
+                                  "--samples", "3000", "--seed", "5")),
+    ):
         proc = run_cli(*args, "--json", "--expect", os.path.join(GOLDEN, name))
         assert proc.returncode == 0, name
 

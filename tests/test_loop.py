@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cml3 import loop
+from cml3 import _purecore, loop
 from cml3.grassmann import GElement, elem_mul
 from cml3.loop import (
     LOOP_ONE,
@@ -32,15 +32,17 @@ def g(i, j=0):
 
 @pytest.fixture
 def cold_memo():
-    """An empty lmul memo, emptied again afterwards.
+    """Empty lmul and wedge memos, emptied again afterwards.
 
     A test that patches a kernel takes it: products from the real kernel
     would otherwise answer for the patched one, and the patched products
     must not outlive the test.
     """
     lmul.cache_clear()
+    _purecore._wedge_keys.cache_clear()
     yield
     lmul.cache_clear()
+    _purecore._wedge_keys.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +173,27 @@ def test_verify_cml3_small():
 
 
 def test_verify_cml3_vacuous():
+    # the generator triples still run with no samples
     report = verify_cml3(1, samples=0, seed=0)
     assert report_passed(report)
+    assert report[0]["instantiation"] == "1 instantiation(s)"
+
+
+def test_sampled_checks_need_samples():
+    # n = 7 samples every identity of five or more letters
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        verify_identities(7, samples=0, seed=0)
+    # on three generators every identity is exhaustive
+    report = verify_identities(3, samples=0, seed=0)
+    assert report_passed(report)
+    assert all(not e["instantiation"].startswith("0 ") for e in report)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_malbos_needs_two_samples(samples):
+    # below two samples no Moufang triple is checked
+    with pytest.raises(ValueError, match=f"samples >= 2, got {samples}$"):
+        malbos_verify(6, samples=samples, seed=0)
 
 
 @pytest.mark.parametrize("suite", [verify_cml3, verify_identities, malbos_verify])
@@ -180,6 +201,29 @@ def test_verify_cml3_vacuous():
 def test_suites_reject_n_below_one(suite, n):
     with pytest.raises(ValueError, match="^n must be at least 1$"):
         suite(n, 5, 0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_chain_memo_matches_eval_word(n):
+    from cml3.loop import _ChainMemo, _ident
+    from cml3.words import LeftNormedWord, eval_word
+
+    rng = random.Random(n)
+    chain = _ChainMemo()
+    vanished = 0
+    for _ in range(150):
+        # few letters and repeated ones make shared and vanishing prefixes
+        head = rng.randrange(n)
+        pairs = tuple((rng.randrange(n), rng.randrange(n))
+                      for _ in range(rng.randrange(5)))
+        expected = eval_word(LeftNormedWord(head, pairs), _ident)
+        assert chain(head, pairs) == expected
+        assert chain(head, list(pairs)) == expected
+        vanished += not expected
+    for (head, prefix), terms in chain.prefixes.items():
+        expected = eval_word(LeftNormedWord(head, prefix), _ident)
+        assert GElement._wrap(terms) == expected
+    assert vanished
 
 
 def test_verify_identities_small():

@@ -120,6 +120,26 @@ def test_ops_match_the_oracle_on_random_inputs(nbases, maxder):
         assert pure.assoc_step(x, sa, sb) == _from_masks(step)
 
 
+def test_wedge_memo_cold_and_warm():
+    # the same products from an empty memo, then from a full one; swapped
+    # factors are separate entries with their own sign
+    rng = random.Random(7)
+    cases = []
+    for _ in range(100):
+        x = _random_terms(rng, rng.randrange(1, 6), 6, 2)
+        y = _random_terms(rng, rng.randrange(1, 6), 6, 2)
+        cases += [(x, y), (y, x), ({b"": 2}, x), (y, {b"": 1})]
+    expected = [_from_masks(oracle_wedge(_to_masks(x), _to_masks(y)))
+                for x, y in cases]
+    pure._wedge_keys.cache_clear()
+    assert [pure.wedge_terms(x, y) for x, y in cases] == expected
+    assert pure._wedge_keys.cache_info().hits > 0
+    misses = pure._wedge_keys.cache_info().misses
+    assert [pure.wedge_terms(x, y) for x, y in cases] == expected
+    assert pure._wedge_keys.cache_info().misses == misses
+    pure._wedge_keys.cache_clear()
+
+
 def test_unit_and_empty():
     one = {b"": 1}
     x = _random_terms(random.Random(1), 4, 24, 4)
