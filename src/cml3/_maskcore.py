@@ -1,22 +1,23 @@
 """Twisted products on uint64 bitmask monomials, vectorised with numpy.
 
-Each call maps the symbols its two inputs use to bit positions in
-increasing symbol order, so every monomial becomes one ``uint64`` and the
-exterior product of two monomials becomes an AND (the collision test), an
-OR (the product) and a popcount (the sign).  This is the bitmap
-basis-blade method of Dorst, Fontijne & Mann, *Geometric Algebra for
-Computer Science* (2007), specialised to an exterior algebra over GF(3).
+Each call maps the bits its two inputs use (the symbols of
+:mod:`cml3._kernel`'s int monomials) to the bits of one ``uint64``, in
+order, so the exterior product of two monomials stays an AND (the
+collision test), an OR (the product) and a popcount (the sign).  This is
+the bitmap basis-blade method of Dorst, Fontijne & Mann, *Geometric
+Algebra for Computer Science* (2007), specialised to an exterior algebra
+over GF(3).
 
-The results equal :func:`cml3._purecore.cmul_terms` and
-:func:`cml3._purecore.square_terms` exactly; only the insertion order of
-the returned dict differs.  The per-call numpy set-up costs more than the
-dict kernel spends on small inputs, so :mod:`cml3._kernel` sends only
-large products here.
+The results equal :func:`cml3._kernel.product_terms` and
+:func:`cml3._kernel.square_terms` exactly; only the insertion order of the
+returned dict differs.  The per-call numpy set-up costs more than the
+dict kernel spends on small inputs, so :func:`cml3._kernel.cmul_terms`
+sends only large products here.
 """
 
 import numpy as np
 
-from ._purecore import DER_MASK, MAX_DER
+from ._kernel import DER_MASK
 
 # Outer products run in blocks of about this many monomial pairs, and the
 # pending terms are merged once more than PENDING_TERMS of them wait: both
@@ -27,24 +28,47 @@ PENDING_TERMS = 32768
 _ONE = np.uint64(1)
 
 
-def _split(terms: dict):
-    """Symbols, per-monomial lengths and coefficients of an element."""
+def _split(terms: dict, nbytes: int):
+    """Key bytes (one little-endian row per monomial), parities and
+    coefficients of an element."""
     keys = list(terms)
-    syms = np.frombuffer(b"".join(keys), dtype=np.uint16)
-    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) // 2
+    buf = b"".join([k.to_bytes(nbytes, "little") for k in keys])
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(keys), nbytes)
+    odd = (np.bitwise_count(rows).sum(axis=1) & 1) == 1
     coeffs = np.fromiter(terms.values(), dtype=np.int64, count=len(keys))
-    return syms, lengths, coeffs
+    return rows, odd, coeffs
 
 
-def _masks(syms, lengths, symbols):
-    """One bitmask per monomial: bit i stands for ``symbols[i]``."""
-    bits = _ONE << np.searchsorted(symbols, syms).astype(np.uint64)
-    # a monomial's bits are distinct, so their sum is their OR; the sums
-    # are differences of a wrapping prefix sum, which also handles b""
-    prefix = np.zeros(len(bits) + 1, dtype=np.uint64)
-    np.cumsum(bits, out=prefix[1:])
-    ends = np.cumsum(lengths)
-    return prefix[ends] - prefix[ends - lengths]
+def _width(*elements) -> int:
+    """Bytes for every key of the elements and one more bit, for a successor."""
+    return (max(max(e) for e in elements).bit_length() + 8) // 8
+
+
+def _bits(rows) -> np.ndarray:
+    """Whether each bit is set in any of the rows, as a uint8 vector."""
+    return np.unpackbits(np.bitwise_or.reduce(rows, axis=0), bitorder="little")
+
+
+def _columns(used, odd_used):
+    """The bits the masks need: those used, and the successors of odd ones.
+
+    Raises ``OverflowError`` when an odd monomial holds a symbol at
+    ``MAX_DER``.  Returns None past 64 bits.
+    """
+    if odd_used[DER_MASK::DER_MASK + 1].any():
+        raise OverflowError("derivation order overflow")
+    used[1:] |= odd_used[:-1]
+    symbols = np.flatnonzero(used)
+    return symbols if len(symbols) <= 64 else None
+
+
+def _masks(rows, symbols):
+    """One uint64 per row: bit i stands for ``symbols[i]``."""
+    bits = (rows[:, symbols >> 3] >> (symbols & 7).astype(np.uint8)) & 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((len(rows), 8), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8").ravel().astype(np.uint64, copy=False)
 
 
 def _below_parity(masks):
@@ -133,46 +157,21 @@ def _derive(masks, coeffs, succ):
 
 
 def _decode(masks, coeffs, symbols) -> dict:
-    """Back to the dict form: keys of uint16 symbols in increasing order."""
-    out = {}
-    degrees = np.bitwise_count(masks)
-    for degree in np.flatnonzero(np.bincount(degrees)).tolist():
-        sel = degrees == degree
-        m = masks[sel]
-        width = 2 * degree
-        if degree == 0:
-            keys = [b""] * len(m)
-        else:
-            cols = np.empty((len(m), degree), dtype=np.intp)
-            for j in range(degree):
-                low = m & (~m + _ONE)
-                cols[:, j] = np.bitwise_count(low - _ONE)
-                m = m ^ low
-            buf = symbols[cols].tobytes()
-            keys = [buf[i:i + width] for i in range(0, len(buf), width)]
-        out.update(zip(keys, coeffs[sel].tolist()))
-    return out
-
-
-def _odd_successors(syms, lengths, odd):
-    """The successors of the symbols of the odd monomials.
-
-    Raises ``OverflowError`` when one of those symbols is at ``MAX_DER``.
-    """
-    odd_syms = syms[np.repeat(odd, lengths)]
-    if np.any((odd_syms & DER_MASK) == MAX_DER):
-        raise OverflowError("derivation order overflow")
-    return odd_syms + 1
-
-
-def _symbols(used):
-    """The distinct symbols of some uint16 arrays, in increasing order."""
-    # a table over all uint16 symbols sorts and deduplicates them; unlike
-    # np.unique it pulls in no further numpy modules (numpy.ma, ~1 MB)
-    present = np.zeros(1 << 16, dtype=bool)
-    for syms in used:
-        present[syms] = True
-    return np.flatnonzero(present).astype(np.uint16)
+    """Back to int monomials: one table of 256 keys per byte of a mask."""
+    tables = []
+    for lo in range(0, len(symbols), 8):
+        # entry v is the OR of the symbol bits of v's set bits
+        table = np.zeros(256, dtype=object)
+        size = 1
+        for sym in symbols[lo:lo + 8].tolist():
+            table[size:2 * size] = table[:size] | (1 << sym)
+            size *= 2
+        tables.append(table)
+    by_byte = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    keys = np.zeros(len(masks), dtype=object)
+    for j, table in enumerate(tables):
+        keys |= table[by_byte[:, j]]
+    return dict(zip(keys.tolist(), coeffs.tolist()))
 
 
 def _successor_bits(symbols):
@@ -183,28 +182,27 @@ def _successor_bits(symbols):
 
 
 def cmul_terms(x: dict, y: dict):
-    """Twisted commutative product, as :func:`cml3._purecore.cmul_terms`.
+    """Twisted commutative product, as :func:`cml3._kernel.product_terms`.
 
     Returns ``None`` when the inputs and the successors of their odd
-    parts use more than 64 distinct symbols; the caller then takes a dict
-    kernel.  Raises ``OverflowError`` exactly when the dict kernels do.
+    parts use more than 64 distinct symbols; the caller then takes the
+    dict kernel.  Raises ``OverflowError`` exactly when the dict kernel
+    does.
     """
     if not x or not y:
         return {}
-    sx, lx, cx = _split(x)
-    sy, ly, cy = _split(y)
-    odd_x = (lx & 1) == 1
-    odd_y = (ly & 1) == 1
+    nbytes = _width(x, y)
+    rx, odd_x, cx = _split(x, nbytes)
+    ry, odd_y, cy = _split(y, nbytes)
     both_odd = bool(odd_x.any() and odd_y.any())
-    used = [sx, sy]
-    if both_odd:
-        used += [_odd_successors(sx, lx, odd_x), _odd_successors(sy, ly, odd_y)]
-    symbols = _symbols(used)
-    if len(symbols) > 64:
+    # no odd-odd pair, no derivation: no successors and no overflow
+    odd_rows = np.vstack((rx[odd_x], ry[odd_y])) if both_odd else rx[:0]
+    symbols = _columns(_bits(np.vstack((rx, ry))), _bits(odd_rows))
+    if symbols is None:
         return None
 
-    mx = _masks(sx, lx, symbols)
-    my = _masks(sy, ly, symbols)
+    mx = _masks(rx, symbols)
+    my = _masks(ry, symbols)
     acc = _Accumulator()
     # x^y = xe^y + xo^ye + (d(xo)^yo - xo^d(yo)), with -1 = 2 mod 3
     _wedge_into(acc, mx[~odd_x], cx[~odd_x], my, cy)
@@ -219,7 +217,7 @@ def cmul_terms(x: dict, y: dict):
 
 
 def square_terms(x: dict):
-    """``cmul_terms(x, x)``, as :func:`cml3._purecore.square_terms`.
+    """``cmul_terms(x, x)``, as :func:`cml3._kernel.square_terms`.
 
     x*x = c0^2 [1] + 2 sum_{i<j} ci cj ei^ej + 2 e^o + 2 d(o)^o for
     x = e + o, so every pair is taken once and o is derived once.  Returns
@@ -227,16 +225,12 @@ def square_terms(x: dict):
     """
     if not x:
         return {}
-    sx, lx, cx = _split(x)
-    odd = (lx & 1) == 1
-    used = [sx]
-    if odd.any():
-        used.append(_odd_successors(sx, lx, odd))
-    symbols = _symbols(used)
-    if len(symbols) > 64:
+    rows, odd, cx = _split(x, _width(x))
+    symbols = _columns(_bits(rows), _bits(rows[odd]))
+    if symbols is None:
         return None
 
-    m = _masks(sx, lx, symbols)
+    m = _masks(rows, symbols)
     me, ce = m[~odd], cx[~odd]
     mo, co = m[odd], cx[odd]
     acc = _Accumulator()

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _kernel
-from ._kernel import key_from_syms, pack_sym, sym_base, sym_der, syms_from_key
-from ._purecore import _merge
+from ._kernel import pack_sym, positions, sym_base, sym_der
 
 
 @dataclass(frozen=True, order=True)
@@ -53,11 +52,12 @@ def _parse_sym(text: str) -> int:
 class Monomial:
     """Exterior monomial: strictly increasing generator symbols.
 
-    The empty monomial is the algebra unit.  Ordering is degree-major,
-    then lexicographic on the symbol sequence.
+    ``key`` is the kernel's int, with bit ``base << 6 | der`` per symbol.
+    The empty monomial, key 0, is the algebra unit.  Ordering is
+    degree-major, then lexicographic on the symbol sequence.
     """
 
-    key: bytes = b""
+    key: int = 0
 
     @classmethod
     def from_syms(cls, syms: Iterable[GenSym | tuple[int, int]]) -> "Monomial":
@@ -70,22 +70,22 @@ class Monomial:
         for a, b in zip(packed, packed[1:]):
             if a >= b:
                 raise ValueError("monomial symbols must strictly increase")
-        return cls(key_from_syms(packed))
+        return cls(sum(1 << s for s in packed))
 
     @property
     def syms(self) -> tuple[GenSym, ...]:
-        return tuple(GenSym(sym_base(s), sym_der(s)) for s in syms_from_key(self.key))
+        return tuple(GenSym(sym_base(s), sym_der(s)) for s in positions(self.key))
 
     @property
     def degree(self) -> int:
-        return len(self.key) // 2
+        return self.key.bit_count()
 
     @property
     def parity(self) -> int:
         return self.degree & 1
 
     def sort_key(self):
-        return (self.degree, syms_from_key(self.key))
+        return _sort_key(self.key)
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.sort_key() < other.sort_key()
@@ -98,9 +98,14 @@ class Monomial:
             return "[1]"
         # the bare generator 1 writes its order so it cannot be read as
         # the unit monomial
-        if self.key == key_from_syms((pack_sym(1, 0),)):
+        if self.key == 1 << pack_sym(1, 0):
             return "[1(0)]"
         return "[" + ".".join(str(s) for s in self.syms) + "]"
+
+
+def _sort_key(key: int):
+    """Degree, then the symbols in order: not the order of the ints."""
+    return key.bit_count(), tuple(positions(key))
 
 
 def mono_mul(x: Monomial, y: Monomial) -> Optional[tuple[Monomial, int]]:
@@ -110,10 +115,11 @@ def mono_mul(x: Monomial, y: Monomial) -> Optional[tuple[Monomial, int]]:
     repeats and the product is zero.  The sign is the parity of the merge
     permutation.
     """
-    merged, sign = _merge(syms_from_key(x.key), syms_from_key(y.key))
-    if merged is None:
+    product = _kernel.wedge_terms({x.key: 1}, {y.key: 1})
+    if not product:
         return None
-    return Monomial(key_from_syms(merged)), sign
+    ((key, sign),) = product.items()
+    return Monomial(key), sign
 
 
 class GElement:
@@ -122,7 +128,7 @@ class GElement:
     # _hash is filled on the first hash() call; the terms never change
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[bytes, int] | None = None):
+    def __init__(self, terms: Mapping[int, int] | None = None):
         cleaned = {}
         if terms:
             for key, coeff in terms.items():
@@ -143,23 +149,23 @@ class GElement:
 
     @classmethod
     def one(cls) -> "GElement":
-        return cls._wrap({b"": 1})
+        return cls._wrap({0: 1})
 
     @classmethod
     def generator(cls, base: int, der: int = 0) -> "GElement":
-        return cls._wrap({key_from_syms((pack_sym(base, der),)): 1})
+        return cls._wrap({1 << pack_sym(base, der): 1})
 
     def raw(self) -> dict:
         """The internal term dict.  Callers must not mutate it."""
         return self._terms
 
     def monomials(self) -> Iterator[tuple[Monomial, int]]:
-        for key in sorted(self._terms, key=lambda k: (len(k), syms_from_key(k))):
+        for key in sorted(self._terms, key=_sort_key):
             yield Monomial(key), self._terms[key]
 
     @property
     def constant(self) -> int:
-        return self._terms.get(b"", 0)
+        return self._terms.get(0, 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -208,24 +214,24 @@ class GElement:
 
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous elements, None for mixed or zero."""
-        seen = {len(k) // 2 & 1 for k in self._terms}
+        seen = {k.bit_count() & 1 for k in self._terms}
         if len(seen) == 1:
             return seen.pop()
         return None
 
     def even_part(self) -> "GElement":
         return GElement._wrap(
-            {k: v for k, v in self._terms.items() if (len(k) // 2) % 2 == 0}
+            {k: v for k, v in self._terms.items() if not k.bit_count() & 1}
         )
 
     def odd_part(self) -> "GElement":
         return GElement._wrap(
-            {k: v for k, v in self._terms.items() if (len(k) // 2) % 2 == 1}
+            {k: v for k, v in self._terms.items() if k.bit_count() & 1}
         )
 
     def degree_part(self, degree: int) -> "GElement":
         return GElement._wrap(
-            {k: v for k, v in self._terms.items() if len(k) // 2 == degree}
+            {k: v for k, v in self._terms.items() if k.bit_count() == degree}
         )
 
     def __len__(self) -> int:
@@ -257,14 +263,12 @@ class GElement:
             if not (mono_text.startswith("[") and mono_text.endswith("]")):
                 raise ValueError(f"bad monomial: {mono_text!r}")
             inner = mono_text[1:-1].strip()
-            if inner == "1":
-                key = b""
-            else:
-                syms = sorted(_parse_sym(p) for p in inner.split("."))
-                for a, b in zip(syms, syms[1:]):
-                    if a == b:
+            key = 0
+            if inner != "1":
+                for sym in map(_parse_sym, inner.split(".")):
+                    if key >> sym & 1:
                         raise ValueError(f"repeated generator in {mono_text!r}")
-                key = key_from_syms(syms)
+                    key |= 1 << sym
             c = (terms.get(key, 0) + coeff) % 3
             if c:
                 terms[key] = c

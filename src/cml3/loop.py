@@ -18,9 +18,7 @@ sides, and ``linv`` checks each distinct element it inverts the first
 time; a repeat reuses that verdict.  The chain identities evaluate their
 left-normed chains through a ``_ChainMemo``, one per identity, which keeps
 the value of every proper chain prefix it has stepped and drops them all
-with the identity.  The kernel's wedge memo, ``_purecore._wedge_keys``,
-also outlives a call: call ``lmul.cache_clear()`` and
-``_purecore._wedge_keys.cache_clear()`` before patching a kernel.
+with the identity.  Call ``lmul.cache_clear()`` before patching a kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import _kernel, twowords
-from ._kernel import key_from_syms, pack_sym
+from ._kernel import pack_sym
 from .grassmann import GElement, elem_mul
 from .twisted import associator, cmul
 from .words import LeftNormedWord, Word3, eval_word
@@ -301,7 +299,7 @@ class _ChainMemo:
             if pairs:
                 value = self._step(self._prefix(head, pairs[:-1]), pairs[-1])
             else:
-                value = {key_from_syms((pack_sym(head),)): 1}
+                value = {1 << pack_sym(head): 1}
             self.prefixes[key] = value
         return value
 
@@ -547,7 +545,7 @@ def _sample_odd(rng: random.Random, n: int) -> GElement:
         if size > n:
             size = 1
         picks = sorted(rng.sample(range(n), size))
-        key = key_from_syms(pack_sym(g) for g in picks)
+        key = sum(1 << pack_sym(g) for g in picks)
         out = out + GElement._wrap({key: rng.choice((1, 2))})
     return out
 

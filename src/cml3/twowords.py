@@ -232,10 +232,12 @@ def case_letters(case: TypeVector) -> dict[int, int]:
     return counts
 
 
-def _pairings(counts: dict[int, int]) -> Iterator[tuple[Pair, ...]]:
+def _pairings(counts: dict[int, int]) -> Iterator[tuple[int, ...]]:
     """All canonical pair sequences exhausting a letter multiset.
 
-    Distinct pair choices at each slot make the emitted sequences unique.
+    Each is a flat int tuple, lo and hi of each pair in turn (the
+    ``_flat`` form).  Distinct pair choices at each slot make the emitted
+    sequences unique.
     """
     total = sum(counts.values())
     if total % 2:
@@ -256,7 +258,7 @@ def _pairings(counts: dict[int, int]) -> Iterator[tuple[Pair, ...]]:
                 rem[a] -= 1
                 rem[b] -= 1
                 for rest in rec(rem, depth - 1):
-                    yield (Pair(a, b),) + rest
+                    yield (a, b) + rest
                 rem[a] += 1
                 rem[b] += 1
 
@@ -265,9 +267,13 @@ def _pairings(counts: dict[int, int]) -> Iterator[tuple[Pair, ...]]:
 
 def universe(case: TypeVector) -> list[TwoWord]:
     """All canonical 2-words of a case, ascending lexicographic order."""
-    words = [TwoWord(seq) for seq in _pairings(case_letters(case))]
-    words.sort(key=lambda w: tuple(p.rank() for p in w.pairs))
-    return words
+    # each pair ranks by (hi, lo), as Pair.rank
+    flats = sorted(_pairings(case_letters(case)),
+                   key=lambda f: tuple(zip(f[1::2], f[::2])))
+    return [
+        TwoWord(tuple(Pair(f[i], f[i + 1]) for i in range(0, len(f), 2)))
+        for f in flats
+    ]
 
 
 def catalog_order(words: Iterable[TwoWord]) -> list[TwoWord]:
@@ -369,7 +375,7 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
             remaining = tuple((k, rem[k]) for k in sorted(rem) if rem[k])
             fills = fill_cache.get(remaining)
             if fills is None:
-                fills = [_flat(fill) for fill in _pairings(dict(remaining))]
+                fills = list(_pairings(dict(remaining)))
                 fill_cache[remaining] = fills
             for offset in range(word_len - schema.length + 1):
                 for fill in fills:

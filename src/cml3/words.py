@@ -14,10 +14,11 @@ pair per layer.  After each layer the states that share a remaining letter
 multiset are replaced by an echelon basis of their span: every completion
 of such a state applies the same GF(3)-linear maps, so the final span does
 not change (the proof is in ``_type_word_values``).  Inside the walk a
-monomial is a Python int with one bit per symbol, at ``slot * W + der``:
-generator slots go in ascending generator order, and each is ``W`` bits
-wide, room for every derivation order a word of the type can reach plus a
-guard bit.  Bit order is symbol order, so signs match the kernel's.
+monomial keeps the kernel's int form but a compact bit layout, at
+``slot * W + der``: generator slots go in ascending generator order, and
+each is ``W`` bits wide, room for every derivation order a word of the
+type can reach plus a guard bit.  Bit order is still symbol order, so the
+kernel's ``assoc_step`` steps it unchanged.
 
 Types that the nilpotency class bound forces to zero (``_class_bound_zero``:
 weight at least 3 on too few letters) are skipped before any enumeration;
@@ -36,7 +37,7 @@ from . import _kernel, gf3
 # names at each module that imports them
 from .gf3 import SparseRow, rank_and_kernel  # noqa: F401
 from .grassmann import GElement, Monomial
-from ._kernel import key_from_syms, pack_sym
+from ._kernel import MAX_DER, pack_sym
 
 # Soft cap on the generator count; beyond it there is no ground truth and
 # the enumeration cost explodes.
@@ -176,7 +177,7 @@ def eval_word(
 
 
 def _eval_left_normed(head_gen: int, pair_gens: Sequence[tuple[int, int]]) -> dict:
-    value = {key_from_syms((pack_sym(head_gen),)): 1}
+    value = {1 << pack_sym(head_gen): 1}
     for a, b in pair_gens:
         if not value:
             return value
@@ -190,7 +191,7 @@ def _eval_tree(tree, assign) -> dict:
             gen = assign[tree]
         except KeyError:
             raise ValueError(f"letter {tree} has no generator assigned")
-        return {key_from_syms((pack_sym(gen),)): 1}
+        return {1 << pack_sym(gen): 1}
     u, v, w = (_eval_tree(child, assign) for child in tree)
     product = _kernel.wedge_terms(_kernel.wedge_terms(u, v), w)
     return _kernel.derive_terms(product)
@@ -218,12 +219,14 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
     Inside the enumeration a monomial is a Python int with bit
     ``slot * W + der`` set for each symbol, where the slot of a generator
     is its rank among the distinct values of ``gens`` and
-    ``W = npairs + 2``.  Bit order is then symbol order, so signs and
-    coefficients equal those of ``_kernel.assoc_step``.  A state after k
-    steps has derivation orders <= k <= npairs, so the top bit of a slot
-    stays clear; ``_mask_step`` raises ``OverflowError`` if it ever gets
-    set instead of spilling into the next slot.  The final basis is
-    returned with bytes monomial keys, as the kernel writes them.
+    ``W = npairs + 2``.  Bit order is then symbol order, so
+    ``_kernel.assoc_step`` steps it with the bits of the two letters, the
+    layout's ``last`` mask and a ``derivs`` memo shared by every step.  A
+    state after k steps has derivation orders <= k <= npairs, so the top
+    bit of a slot stays clear; ``last`` holds the bit below it (or order
+    ``MAX_DER``, if lower), so a step would raise ``OverflowError`` before
+    it spilled into the next slot.  The final basis is returned in the
+    kernel's layout.
     """
     tv = TypeVector(counts)
     mult = tv.multiplicities()
@@ -235,7 +238,8 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
     width = npairs + 2
     slot_bit = {gen: i * width for i, gen in enumerate(order)}
     bits = [slot_bit[gen] for gen in gens]
-    top = sum(1 << (i * width + width - 1) for i in range(len(order)))
+    last_der = min(width - 2, MAX_DER)
+    last = sum(1 << (i * width + last_der) for i in range(len(order)))
     remaining = list(mult)
     remaining[0] -= 1
 
@@ -251,7 +255,7 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
                     if not rem[b]:
                         continue
                     stepped = [
-                        _mask_step(v, bits[a], bits[b], top, derivs)
+                        _kernel.assoc_step(v, bits[a], bits[b], last, derivs)
                         for v in values
                     ]
                     stepped = [v for v in stepped if v]
@@ -274,60 +278,16 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
     ]
 
 
-def _mask_step(terms: dict, abit: int, bbit: int, top: int, derivs: dict) -> dict:
-    """``d(v ^ a ^ b)``: the kernel's ``assoc_step`` on int-bitmask monomials.
-
-    ``terms`` maps monomials to coefficients in {1, 2}; ``abit`` and
-    ``bbit`` are the bits of the two underived letters; ``top`` holds the
-    top bit of every slot.  ``derivs`` memoises the Leibniz
-    summands of each monomial; a summand moves a set bit whose successor is
-    clear up by one, which is ``m + low`` for its lowest bit ``low``.
-    """
-    out: dict = {}
-    abit_mask = 1 << abit
-    bbit_mask = 1 << bbit
-    for m, c in terms.items():
-        if m & abit_mask:
-            continue
-        m1 = m | abit_mask
-        if m1 & bbit_mask:
-            continue
-        m2 = m1 | bbit_mask
-        # one transposition per symbol above an inserted one
-        if ((m >> abit).bit_count() + (m1 >> bbit).bit_count()) & 1:
-            c = 3 - c
-        summands = derivs.get(m2)
-        if summands is None:
-            summands = []
-            rest = m2
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not m2 & (low << 1):
-                    summands.append(m2 + low)
-            if any(s & top for s in summands):
-                raise OverflowError("derivation order overflow")
-            derivs[m2] = summands
-        for s in summands:
-            v = (out.get(s, 0) + c) % 3
-            if v:
-                out[s] = v
-            else:
-                del out[s]
-    return out
-
-
 def _from_masks(terms: dict, order: Sequence[int], width: int) -> dict:
-    """Bytes-keyed element of an int-bitmask one (see _type_word_values)."""
+    """The kernel's form of a compact-layout element (see _type_word_values)."""
+    slot_mask = (1 << width) - 1
+    shifts = [(i * width, pack_sym(gen)) for i, gen in enumerate(order)]
     out = {}
     for m, c in terms.items():
-        syms = []
-        while m:
-            low = m & -m
-            bit = low.bit_length() - 1
-            syms.append(pack_sym(order[bit // width], bit % width))
-            m ^= low
-        out[key_from_syms(syms)] = c
+        key = 0
+        for at, sym in shifts:
+            key |= (m >> at & slot_mask) << sym
+        out[key] = c
     return out
 
 

@@ -1,23 +1,17 @@
-"""Pure-Python kernels for exterior-monomial arithmetic over GF(3).
+"""The bytes kernel: the test oracle for ``cml3._kernel``.
 
 A monomial is stored as a byte string of native-endian uint16 symbols in
 strictly increasing order.  A symbol packs a generator index and its
 derivation order as ``(base << 6) | order``.  An element is a dict mapping
 monomial keys to coefficients in {1, 2}; absent keys have coefficient 0.
 
-These are the package's kernel ops, re-exported by :mod:`cml3._kernel`;
-twisted products and squares above its ``MASK_MIN_PAIRS`` go to
-:mod:`cml3._maskcore` instead.  The tests use this module as the oracle
-for that kernel.
-
-``wedge_terms`` looks each monomial-pair product up in ``_wedge_keys``, an
-LRU cache of ``WEDGE_MEMO_SIZE`` entries keyed by the two monomial keys in
-order: the malbos suite makes the same few thousand pair products hundreds
-of thousands of times.  The other ops are not memoised.
+This was the package's kernel before it moved to int bitmasks.  It merges
+sorted symbol tuples and counts crossings, and shares no code with the
+package, so the tests compare the kernel with it term for term through
+``int_terms`` and ``bytes_terms``.
 """
 
 from array import array
-from functools import lru_cache
 
 DER_BITS = 6
 DER_MASK = (1 << DER_BITS) - 1
@@ -48,6 +42,26 @@ def key_from_syms(syms) -> bytes:
 
 def syms_from_key(key: bytes) -> tuple:
     return tuple(array("H", key))
+
+
+def int_key(key: bytes) -> int:
+    """The kernel's int monomial of a bytes one."""
+    return sum(1 << s for s in syms_from_key(key))
+
+
+def bytes_key(m: int) -> bytes:
+    """The bytes monomial of one of the kernel's ints."""
+    raw = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    return key_from_syms(8 * i + j for i, byte in enumerate(raw) if byte
+                         for j in range(8) if byte >> j & 1)
+
+
+def int_terms(terms: dict) -> dict:
+    return {int_key(k): c for k, c in terms.items()}
+
+
+def bytes_terms(terms: dict) -> dict:
+    return {bytes_key(m): c for m, c in terms.items()}
 
 
 def _merge(a, b):
@@ -99,12 +113,6 @@ def _acc(out, key, delta):
         del out[key]
 
 
-# Monomial pairs kept by the wedge memo: an entry holds the two factor keys
-# and the product, about 200 bytes, so a full memo stays under 1 MB.
-WEDGE_MEMO_SIZE = 4096
-
-
-@lru_cache(maxsize=WEDGE_MEMO_SIZE)
 def _wedge_keys(kx: bytes, ky: bytes):
     """Product of two monomials: (key, sign in {1, 2}), or None when zero."""
     merged, sign = _merge(syms_from_key(kx), syms_from_key(ky))

@@ -282,7 +282,7 @@ def test_n_below_one_is_usage_error():
 _NUMPY_PROBE = """
 import contextlib, io, itertools, json, sys
 from cml3 import _kernel, cli
-from cml3._purecore import key_from_syms, pack_sym
+from cml3._kernel import pack_sym
 
 loaded = ["numpy" in sys.modules]
 for args in json.loads(sys.argv[1]):
@@ -290,8 +290,8 @@ for args in json.loads(sys.argv[1]):
         assert cli.main(args) == 0, args
     loaded.append("numpy" in sys.modules)
 syms = [pack_sym(b, d) for b in range(7) for d in range(4)]
-x = {key_from_syms((s,)): 1 for s in syms}
-y = {key_from_syms(t): 2 for t in itertools.combinations(syms, 3)}
+x = {1 << s: 1 for s in syms}
+y = {sum(1 << s for s in t): 2 for t in itertools.combinations(syms, 3)}
 assert len(x) * len(y) > _kernel.MASK_MIN_PAIRS
 _kernel.cmul_terms(x, y)
 loaded.append("numpy" in sys.modules)
@@ -432,13 +432,22 @@ def test_golden_files():
 
 
 def test_json_deterministic_across_runs():
+    # two hash seeds: no output may depend on the order of a set or dict
     for args in (
         ("dim", "--n", "5"),
         ("types", "--n", "6"),
         ("verify", "--suite", "identities", "--n", "5", "--samples", "20"),
+        ("verify", "--suite", "malbos", "--n", "4", "--samples", "20"),
+        ("mainid", "--mode", "loop", "--samples", "2"),
     ):
-        a = run_cli(*args, "--json").stdout
-        b = run_cli(*args, "--json").stdout
+        a, b = (
+            subprocess.run(
+                [sys.executable, "-m", "cml3.cli", *args, "--json"],
+                capture_output=True, text=True, check=True,
+                env={**_env(), "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1")
+        )
         assert a == b, args
 
 
@@ -457,7 +466,8 @@ def test_tracer_hooks_still_apply(tmp_path):
     # traced run must print the untraced bytes and record the layers
     tracer = _tracer()
     for args, recorded in (
-        (("h", "--type", "5,2", "--json"), {"cli.handler", "words.h"}),
+        (("h", "--type", "5,2", "--json"),
+         {"cli.handler", "words.h", "kernel.assoc_step"}),
         (("verify", "--suite", "identities", "--n", "4", "--samples", "5",
           "--json"), {"cli.handler", "kernel.assoc_step"}),
     ):

@@ -1,10 +1,11 @@
 """The span-basis frontier of ``words._type_word_values``.
 
-The frontier steps on int-bitmask monomials and keeps one echelon basis per
-remaining letter multiset.  These tests check its step against the pure
-kernel's ``assoc_step``, its h values against a rank over every word with no
-pruning, the n = 8 numbers that only the faster frontier reaches in test
-time, and the types that ``h_of_type`` skips by the nilpotency class bound.
+The frontier steps int-bitmask monomials in a compact bit layout through
+the kernel's ``assoc_step``, and keeps one echelon basis per remaining
+letter multiset.  These tests check that step against the bytes oracle,
+its h values against a rank over every word with no pruning, the n = 8
+numbers that only the faster frontier reaches in test time, and the types
+that ``h_of_type`` skips by the nilpotency class bound.
 """
 
 import json
@@ -13,9 +14,10 @@ import random
 
 import pytest
 
-from cml3 import _purecore as pure
-from cml3 import gf3, loop, words
-from cml3._purecore import key_from_syms, pack_sym, sym_base, sym_der, syms_from_key
+import bytes_oracle as oracle
+from bytes_oracle import key_from_syms, syms_from_key
+from cml3 import _kernel, gf3, loop, words
+from cml3._kernel import MAX_DER, pack_sym, sym_base, sym_der
 from cml3.words import (
     LeftNormedWord,
     TypeVector,
@@ -31,11 +33,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _layout(gens, npairs):
-    """Slot order, slot width and top-bit mask of the frontier's layout."""
+    """Slot order, slot width and ``last`` mask of the frontier's layout."""
     order = sorted(set(gens))
     width = npairs + 2
-    top = sum(1 << (i * width + width - 1) for i in range(len(order)))
-    return order, width, top
+    last = sum(1 << (i * width + min(width - 2, MAX_DER))
+               for i in range(len(order)))
+    return order, width, last
 
 
 def _to_masks(terms, order, width):
@@ -61,6 +64,14 @@ def _random_odd(rng, gens, maxder, nterms):
     return out
 
 
+def _step(x, order, width, last, derivs, a, b):
+    """One frontier step on a bytes-keyed element, back in the kernel's form."""
+    return words._from_masks(
+        _kernel.assoc_step(_to_masks(x, order, width), order.index(a) * width,
+                           order.index(b) * width, last, derivs),
+        order, width)
+
+
 def test_mask_step_matches_kernels():
     rng = random.Random(4)
     between = 0
@@ -70,7 +81,7 @@ def test_mask_step_matches_kernels():
         shift = rng.randrange(0, 40)
         gens = rng.sample(range(shift, shift + 14), rng.randrange(4, 11))
         npairs = rng.randrange(2, 7)
-        order, width, top = _layout(gens, npairs)
+        order, width, last = _layout(gens, npairs)
         derivs = {}
         for _ in range(4):
             # derived symbols below width - 2: one step stays under the
@@ -80,18 +91,9 @@ def test_mask_step_matches_kernels():
             bases = {sym_base(s) for key in x for s in syms_from_key(key)}
             if min(bases) < a < max(bases):
                 between += 1
-            got = words._from_masks(
-                words._mask_step(
-                    _to_masks(x, order, width),
-                    order.index(a) * width,
-                    order.index(b) * width,
-                    top,
-                    derivs,
-                ),
-                order,
-                width,
-            )
-            assert got == pure.assoc_step(x, pack_sym(a), pack_sym(b))
+            got = _step(x, order, width, last, derivs, a, b)
+            want = oracle.assoc_step(x, pack_sym(a), pack_sym(b))
+            assert got == oracle.int_terms(want)
     assert between > 200
 
 
@@ -99,17 +101,16 @@ def test_mask_step_overflow_raises():
     # a step that would set the top bit of a slot raises rather than spill
     # into the next slot, or out of the layout past the last one
     gens = (7, 3, 5)
-    order, width, top = _layout(gens, 2)
+    order, width, last = _layout(gens, 2)
     for gen in gens:
-        a, b = (order.index(g) * width for g in gens if g != gen)
+        a, b = (g for g in gens if g != gen)
         for der, overflows in ((width - 3, False), (width - 2, True)):
             x = {key_from_syms([pack_sym(gen, der)]): 1}
-            args = (_to_masks(x, order, width), a, b, top, {})
             if overflows:
                 with pytest.raises(OverflowError):
-                    words._mask_step(*args)
+                    _step(x, order, width, last, {}, a, b)
             else:
-                assert words._mask_step(*args)
+                assert _step(x, order, width, last, {}, a, b)
 
 
 def _left_normed_words(tv):
@@ -140,9 +141,15 @@ def _left_normed_words(tv):
 
 
 def test_h_matches_unpruned_rank():
-    # rank over the kernel's value of every word, against h
+    # rank over the kernel's value of every word, against h: for every
+    # candidate type on up to 6 generators, and every one on 7 that the
+    # class bound does not skip, which the n = 7 column of the dimension
+    # table rests on (the skipped ones hold 278,394 more words)
+    types = set(candidate_types(6))
+    types.update(tv for tv in candidate_types(7)
+                 if not words._class_bound_zero(tv))
     nwords = 0
-    for tv in candidate_types(6):
+    for tv in sorted(types, key=TypeVector.sort_key):
         tv_words = list(_left_normed_words(tv))
         nwords += len(tv_words)
         letters = tv.letters
@@ -153,7 +160,7 @@ def test_h_matches_unpruned_rank():
             rows = [eval_word(w, assign).raw() for w in tv_words]
             assert gf3.rank_only(rows)[0] == h, (tv, assign)
         assert h_of_type(tv, assign=reverse.__getitem__) == h, tv
-    assert nwords == 7728
+    assert nwords == 7728 + 10368
 
 
 def test_n8_scale_pins():
@@ -199,8 +206,7 @@ def test_loop_associator_leading_term_is_word_value():
                  ((0, 1, 2), (1, 3, 4), 2), ((0, 1, 2), 0, 3)):
         weight = len(Word3(tree).leaves())
         value = _loop_word(tree).nilpotent.raw()
-        degrees = {len(pure.syms_from_key(key)) for key in value}
+        degrees = {key.bit_count() for key in value}
         assert min(degrees) == weight, tree
-        lead = {k: c for k, c in value.items()
-                if len(pure.syms_from_key(k)) == weight}
+        lead = {k: c for k, c in value.items() if k.bit_count() == weight}
         assert lead == eval_word(Word3(tree), assign).raw(), tree

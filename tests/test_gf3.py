@@ -3,8 +3,9 @@ import itertools
 import math
 import random
 
+import bytes_oracle as oracle
 from cml3 import gf3, words
-from cml3._purecore import key_from_syms, pack_sym
+from cml3._kernel import pack_sym
 from cml3.gf3 import RankResult, SparseRow, rank_and_kernel, rank_only, row_basis
 from cml3.grassmann import Monomial
 from cml3.twowords import relation_span, universe
@@ -200,7 +201,7 @@ def test_key_types_share_one_order():
     # that sort the same way give the same rank, kernel and pivots
     ncols = 150
     symbols = sorted(pack_sym(b, d) for b in range(7) for d in range(4))
-    monomials = sorted(Monomial(key_from_syms((s, t)))
+    monomials = sorted(Monomial(1 << s | 1 << t)
                        for s, t in itertools.combinations(symbols, 2))
     key_lists = {
         "bytes": [i.to_bytes(2, "big") for i in range(ncols)],
@@ -240,14 +241,23 @@ def test_pinned_relation_span_and_word_span():
     ]
 
     # h(7,1) = 28: its span basis has 28 values over 128 monomials; the
-    # pivots depend only on the span, not on the basis the frontier kept
+    # pivots depend only on the span, not on the basis the frontier kept.
+    # Smallest-key pivots depend on the key order too: these were pinned
+    # on bytes keys, so the values are re-keyed to bytes for them
     values = words._type_word_values((7, 1), tuple(range(8)))
-    rank, pivots = rank_only(values)
+    rank, pivots = rank_only([oracle.bytes_terms(v) for v in values])
     assert rank == 28
     assert len({k for v in values for k in v}) == 128
-    assert str(Monomial(pivots[0])) == "[0.1.2.3.4.5.6.7.7(4)]"
-    assert str(Monomial(pivots[-1])) == "[0.1(2).2.3.4.5.6.7.7(2)]"
+    assert str(Monomial(oracle.int_key(pivots[0]))) == "[0.1.2.3.4.5.6.7.7(4)]"
+    assert str(Monomial(oracle.int_key(pivots[-1]))) == "[0.1(2).2.3.4.5.6.7.7(2)]"
     assert hashlib.sha256(b"".join(pivots)).hexdigest()[:16] == "752efa46676aba36"
+    # and on the kernel's int keys, in int order
+    rank, pivots = rank_only(values)
+    assert rank == 28
+    assert str(Monomial(pivots[0])) == "[0(3).1.2.3.4.5.6.7.7(1)]"
+    assert str(Monomial(pivots[-1])) == "[0(1).1.2.3.4.5.6(1).7.7(2)]"
+    digest = hashlib.sha256(",".join(map(str, pivots)).encode()).hexdigest()
+    assert digest[:16] == "e2feb5a612a2c98a"
 
 
 def test_row_basis_on_a_frontier_group(monkeypatch):

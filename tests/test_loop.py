@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cml3 import _purecore, loop
+from cml3 import loop
 from cml3.grassmann import GElement, elem_mul
 from cml3.loop import (
     LOOP_ONE,
@@ -32,17 +32,15 @@ def g(i, j=0):
 
 @pytest.fixture
 def cold_memo():
-    """Empty lmul and wedge memos, emptied again afterwards.
+    """An empty lmul memo, emptied again afterwards.
 
     A test that patches a kernel takes it: products from the real kernel
     would otherwise answer for the patched one, and the patched products
     must not outlive the test.
     """
     lmul.cache_clear()
-    _purecore._wedge_keys.cache_clear()
     yield
     lmul.cache_clear()
-    _purecore._wedge_keys.cache_clear()
 
 
 # ---------------------------------------------------------------------------

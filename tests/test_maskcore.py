@@ -1,18 +1,29 @@
-"""The numpy bitmask kernel must equal the pure dict kernel term for term.
+"""The numpy bitmask kernel must equal the bytes oracle term for term.
 
 Random inputs on both sides of ``_kernel.MASK_MIN_PAIRS``, unit and empty
-elements, and derivation overflow, each checked against ``_purecore`` and
-through the ``_kernel`` dispatch.  Squares are checked the same way
-against the general product on a copy of the input.
+elements, and derivation overflow, each checked against the bytes oracle
+(``bytes_oracle.py``), the dict kernel and the ``_kernel`` dispatch.
+Squares are checked the same way against the general product on a copy
+of the input.
 """
 
 import random
 
 import pytest
 
+import bytes_oracle as oracle
+from bytes_oracle import bytes_terms, int_terms
 from cml3 import _kernel, _maskcore
-from cml3 import _purecore as pure
-from cml3._purecore import MAX_DER, key_from_syms, pack_sym
+from cml3._kernel import MAX_DER, pack_sym
+
+
+def _key(syms):
+    return sum(1 << s for s in syms)
+
+
+def _oracle_cmul(x, y):
+    bx = bytes_terms(x)
+    return int_terms(oracle.cmul_terms(bx, bx if x is y else bytes_terms(y)))
 
 
 def _random_terms(rng, nterms, nbases=7, maxlen=8, maxder=4, parities=(0, 1)):
@@ -23,14 +34,15 @@ def _random_terms(rng, nterms, nbases=7, maxlen=8, maxder=4, parities=(0, 1)):
             continue
         bases = sorted(rng.sample(range(nbases), min(length, nbases)))
         syms = [pack_sym(b, rng.randrange(maxder + 1)) for b in bases]
-        out[key_from_syms(sorted(syms))] = rng.choice((1, 2))
+        out[_key(sorted(syms))] = rng.choice((1, 2))
     return out
 
 
 def _assert_matches(x, y):
     got = _maskcore.cmul_terms(x, y)
     assert got is not None
-    assert got == pure.cmul_terms(x, y)
+    assert got == _oracle_cmul(x, y)
+    assert _kernel.product_terms(x, y) == got
     assert _kernel.cmul_terms(x, y) == got
     assert all(type(c) is int and c in (1, 2) for c in got.values())
 
@@ -54,22 +66,23 @@ def test_blocked_accumulation_with_large_output():
     x = _random_terms(rng, 400, nbases=10, maxlen=6, maxder=2)
     y = _random_terms(rng, 400, nbases=10, maxlen=6, maxder=2)
     assert len(x) * len(y) > 2 * _maskcore.PENDING_TERMS
-    assert len(pure.cmul_terms(x, y)) > _maskcore.PENDING_TERMS
+    assert len(_kernel.product_terms(x, y)) > _maskcore.PENDING_TERMS
     _assert_matches(x, y)
 
 
 def test_unit_and_empty():
-    one = {b"": 1}
+    one = {0: 1}
     rng = random.Random(2)
-    # 30 pairs stay under the cut, 300 go over it
-    for x in (_random_terms(rng, 30), _random_terms(rng, 300)):
-        for kernel in (pure, _maskcore, _kernel):
-            assert kernel.cmul_terms(one, x) == x
-            assert kernel.cmul_terms(x, one) == x
-            assert kernel.cmul_terms(one, one) == one
-            assert kernel.cmul_terms({}, x) == {}
-            assert kernel.cmul_terms(x, {}) == {}
-    assert 300 > _kernel.MASK_MIN_PAIRS
+    # 30 pairs stay under the cut, 3000 go over it
+    for x in (_random_terms(rng, 30), _random_terms(rng, 3000)):
+        for cmul in (_kernel.product_terms, _maskcore.cmul_terms,
+                     _kernel.cmul_terms):
+            assert cmul(one, x) == x
+            assert cmul(x, one) == x
+            assert cmul(one, one) == one
+            assert cmul({}, x) == {}
+            assert cmul(x, {}) == {}
+    assert 30 < _kernel.MASK_MIN_PAIRS < 3000
 
 
 def test_mixed_parity_elements():
@@ -77,7 +90,7 @@ def test_mixed_parity_elements():
     for _ in range(20):
         x = _random_terms(rng, 25)
         y = _random_terms(rng, 25)
-        x[b""] = 1  # loop elements have the form 1 + a
+        x[0] = 1  # loop elements have the form 1 + a
         _assert_matches(x, y)
 
 
@@ -85,10 +98,10 @@ def test_odd_odd_with_successor_present():
     # s and s+1 together in one monomial: d must skip s, and products of
     # d(x) with y must see the collision on s+1
     s0, s1, s2 = pack_sym(0, 1), pack_sym(0, 2), pack_sym(1, 0)
-    x = {key_from_syms([s0, s1, s2]): 1, key_from_syms([s0]): 2,
-         key_from_syms([s2]): 1}
-    y = {key_from_syms([s1]): 1, key_from_syms([s0, s2, pack_sym(1, 1)]): 2,
-         key_from_syms([pack_sym(2, 0)]): 1}
+    x = {_key([s0, s1, s2]): 1, _key([s0]): 2,
+         _key([s2]): 1}
+    y = {_key([s1]): 1, _key([s0, s2, pack_sym(1, 1)]): 2,
+         _key([pack_sym(2, 0)]): 1}
     _assert_matches(x, y)
     rng = random.Random(4)
     for _ in range(20):
@@ -100,31 +113,34 @@ def test_odd_odd_with_successor_present():
 def test_more_than_64_symbols_falls_back(monkeypatch):
     monkeypatch.setattr(_kernel, "MASK_MIN_PAIRS", 0)
     # odd x times even y adds no successors: 64 symbols fit, 65 do not
-    x = {key_from_syms([pack_sym(b)]): 1 for b in range(32)}
-    y = {key_from_syms([pack_sym(b), pack_sym(b + 1)]): 2
+    x = {_key([pack_sym(b)]): 1 for b in range(32)}
+    y = {_key([pack_sym(b), pack_sym(b + 1)]): 2
          for b in range(32, 64, 2)}
     _assert_matches(x, y)
-    x[key_from_syms([pack_sym(100)])] = 1
+    x[_key([pack_sym(100)])] = 1
     assert _maskcore.cmul_terms(x, y) is None
-    assert _kernel.cmul_terms(x, y) == pure.cmul_terms(x, y)
+    assert _kernel.cmul_terms(x, y) == _oracle_cmul(x, y)
     # odd-odd: 40 + 30 odd symbols and their successors
-    x = {key_from_syms([pack_sym(b)]): 1 for b in range(40)}
-    y = {key_from_syms([pack_sym(b, 1)]): 2 for b in range(40, 70)}
+    x = {_key([pack_sym(b)]): 1 for b in range(40)}
+    y = {_key([pack_sym(b, 1)]): 2 for b in range(40, 70)}
     assert _maskcore.cmul_terms(x, y) is None
-    assert _kernel.cmul_terms(x, y) == pure.cmul_terms(x, y)
+    assert _kernel.cmul_terms(x, y) == _oracle_cmul(x, y)
 
 
 def test_derivation_overflow_raises_exactly_when_dict_kernels_do():
     top = pack_sym(0, MAX_DER)
-    odd_top = {key_from_syms([top]): 1, key_from_syms([pack_sym(1)]): 1}
-    odd = {key_from_syms([pack_sym(2)]): 1}
-    even = {key_from_syms([pack_sym(2), pack_sym(3)]): 1}
-    even_top = {key_from_syms([top, pack_sym(3)]): 2}
-    for kernel in (pure, _maskcore, _kernel):
+    odd_top = {_key([top]): 1, _key([pack_sym(1)]): 1}
+    odd = {_key([pack_sym(2)]): 1}
+    even = {_key([pack_sym(2), pack_sym(3)]): 1}
+    even_top = {_key([top, pack_sym(3)]): 2}
+    for cmul in (_kernel.product_terms, _maskcore.cmul_terms, _kernel.cmul_terms):
         with pytest.raises(OverflowError):
-            kernel.cmul_terms(odd_top, odd)
+            cmul(odd_top, odd)
         with pytest.raises(OverflowError):
-            kernel.cmul_terms(odd, odd_top)
+            cmul(odd, odd_top)
+    for x, y in ((odd_top, odd), (odd, odd_top)):
+        with pytest.raises(OverflowError):
+            oracle.cmul_terms(bytes_terms(x), bytes_terms(y))
     # no odd-odd pair, or MAX_DER only in an even part: no derivation, no raise
     for x, y in ((odd_top, even), (even, odd_top), (even_top, odd)):
         _assert_matches(x, y)
@@ -132,11 +148,11 @@ def test_derivation_overflow_raises_exactly_when_dict_kernels_do():
 
 def _assert_square(x):
     """Both square routes equal the general product on a copy of x."""
-    general = pure.cmul_terms(x, dict(x))
+    general = _oracle_cmul(x, dict(x))
     got = _maskcore.square_terms(x)
     assert got is not None
     assert got == general
-    assert pure.square_terms(x) == general
+    assert _kernel.square_terms(x) == general
     assert _kernel.cmul_terms(x, x) == general
     assert all(type(c) is int and c in (1, 2) for c in got.values())
 
@@ -145,14 +161,14 @@ def _assert_square(x):
 def test_square_on_both_sides_of_the_cut(parities):
     rng = random.Random(len(parities) * 10 + parities[0])
     cut = _kernel.MASK_MIN_PAIRS
-    for nterms in (1, 5, 16, 17, 40, 120):
+    for nterms in (1, 5, 45, 46, 120):
         for _ in range(3):
             x = _random_terms(rng, nterms, parities=parities)
             _assert_square(x)
             if parities == (0, 1):
-                x[b""] = 1  # a loop element 1 + a
+                x[0] = 1  # a loop element 1 + a
                 _assert_square(x)
-    assert 16 * 16 <= cut < 17 * 17
+    assert 45 * 45 <= cut < 46 * 46
 
 
 def test_square_with_blocked_accumulation():
@@ -164,10 +180,10 @@ def test_square_with_blocked_accumulation():
 
 
 def test_square_of_unit_and_empty():
-    one = {b"": 1}
-    for kernel in (pure, _maskcore):
+    one = {0: 1}
+    for kernel in (_kernel, _maskcore):
         assert kernel.square_terms(one) == one
-        assert kernel.square_terms({b"": 2}) == one
+        assert kernel.square_terms({0: 2}) == one
         assert kernel.square_terms({}) == {}
     assert _kernel.cmul_terms(one, one) == one
     assert _kernel.cmul_terms({}, {}) == {}
@@ -175,8 +191,8 @@ def test_square_of_unit_and_empty():
 
 def test_square_with_successor_present():
     s0, s1, s2 = pack_sym(0, 1), pack_sym(0, 2), pack_sym(1, 0)
-    x = {key_from_syms([s0, s1, s2]): 1, key_from_syms([s0]): 2,
-         key_from_syms([s2]): 1, key_from_syms([s1, pack_sym(1, 1)]): 2}
+    x = {_key([s0, s1, s2]): 1, _key([s0]): 2,
+         _key([s2]): 1, _key([s1, pack_sym(1, 1)]): 2}
     _assert_square(x)
     rng = random.Random(6)
     for _ in range(10):
@@ -187,34 +203,34 @@ def test_square_with_successor_present():
 def test_square_past_64_symbols_falls_back(monkeypatch):
     monkeypatch.setattr(_kernel, "MASK_MIN_PAIRS", 0)
     # even-only squares add no successors: 64 symbols fit, 66 do not
-    x = {key_from_syms([pack_sym(b), pack_sym(b + 1)]): 1
+    x = {_key([pack_sym(b), pack_sym(b + 1)]): 1
          for b in range(0, 64, 2)}
     _assert_square(x)
-    x[key_from_syms([pack_sym(100), pack_sym(101)])] = 2
+    x[_key([pack_sym(100), pack_sym(101)])] = 2
     assert _maskcore.square_terms(x) is None
-    assert _kernel.cmul_terms(x, x) == pure.cmul_terms(x, dict(x))
+    assert _kernel.cmul_terms(x, x) == _oracle_cmul(x, dict(x))
     # odd: 40 symbols and their 40 successors
-    x = {key_from_syms([pack_sym(b)]): 1 for b in range(40)}
+    x = {_key([pack_sym(b)]): 1 for b in range(40)}
     assert _maskcore.square_terms(x) is None
-    assert _kernel.cmul_terms(x, x) == pure.cmul_terms(x, dict(x))
+    assert _kernel.cmul_terms(x, x) == _oracle_cmul(x, dict(x))
 
 
 def test_square_overflow_raises_exactly_when_the_general_product_does():
     top = pack_sym(0, MAX_DER)
     rng = random.Random(7)
-    big = _random_terms(rng, 30, parities=(0,))
-    odd_top = {key_from_syms([top]): 1, key_from_syms([pack_sym(1)]): 1}
-    even_top = {key_from_syms([top, pack_sym(3)]): 2}
+    big = _random_terms(rng, 50, parities=(0,))
+    odd_top = {_key([top]): 1, _key([pack_sym(1)]): 1}
+    even_top = {_key([top, pack_sym(3)]): 2}
     # under and over the cut
     for x in (odd_top, {**odd_top, **big}):
         with pytest.raises(OverflowError):
-            pure.cmul_terms(x, dict(x))
-        for kernel in (pure, _maskcore):
+            _kernel.product_terms(x, dict(x))
+        for kernel in (_kernel, _maskcore):
             with pytest.raises(OverflowError):
                 kernel.square_terms(x)
         with pytest.raises(OverflowError):
             _kernel.cmul_terms(x, x)
     # MAX_DER only in an even monomial: no derivation, no raise
     for x in (even_top, {**even_top, **big}, {**even_top, **big,
-                                              key_from_syms([pack_sym(1)]): 1}):
+                                              _key([pack_sym(1)]): 1}):
         _assert_square(x)
