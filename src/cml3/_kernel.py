@@ -19,12 +19,37 @@ specialised to an exterior algebra over GF(3):
   generator.
 
 Twisted products of more than ``MASK_MIN_PAIRS`` monomial pairs go to the
-numpy kernel (``cml3._maskcore``) instead, which returns the same terms.
-Its per-call set-up and the map back to int keys cost more than the dict
-kernel spends on small products: on the twisted products of the loop
-suites the two break even between 1024 and 2048 pairs, and above that
-the numpy kernel is up to 7 times faster (measured on 2 vCPUs, Python
-3.11, numpy 2.4).
+numpy kernel (``cml3._maskcore``) instead, which returns the same terms,
+once that kernel is loaded.  Its per-call set-up and the map back to int
+keys cost more than the dict kernel spends on small products: on the
+twisted products of the loop suites the two break even between 1024 and
+2048 pairs, and above that the numpy kernel is up to 7 times faster.
+
+Loading it costs more than most commands spend on large products: a cold
+import of numpy and ``_maskcore`` takes 0.18 s (median of 15, 0.11-0.21
+s), while the dict kernel takes about 0.23 us per pair of a product above
+the cut and the numpy kernel 1.1 ms + 0.018 us.  So the dispatch rents
+before it buys (Karlin, Manasse, Rudolph & Sleator, *Competitive snoopy
+caching*, 1988): the dict kernel takes the large products, and a
+process-wide tally counts their pairs, until the tally plus the next
+product reaches ``MASK_LOAD_PAIRS``.  That product loads the numpy kernel
+and takes it, as does every large product after it; a single product at
+or above the budget loads it before it is computed.  A command whose
+large products never reach the budget never imports numpy.  The budget
+comes from the pool of the benchmark's loop jobs (``verify --suite cml3
+--samples 6`` and ``mainid --mode loop --samples 1``), modelled from the
+pair counts of each job's products above the cut and the costs above.
+Mean time of the large products and the import, per job:
+
+    budget           0 (load at once)   100k    200k    400k
+    455 light jobs   0.182 s            0.058   0.061   0.070
+    78 heavy jobs    0.244 s            0.232   0.205   0.202
+
+(light jobs are those the benchmark draws from; heavy ones every tenth
+of the rest, 53k-15M large pairs).  At 100k the light jobs are at their
+cheapest and the heavy ones no dearer than loading at once; larger
+budgets trade light-job time for heavy-job time (measured on 2 vCPUs,
+Python 3.11, numpy 2.4).
 
 A square, ``cmul_terms(x, x)`` with the same dict passed twice, takes
 ``square_terms`` instead, on the same cut: it computes the same terms
@@ -43,6 +68,12 @@ MAX_BASE = (1 << (16 - DER_BITS)) - 1
 BACKEND = "pure"
 
 MASK_MIN_PAIRS = 2048
+MASK_LOAD_PAIRS = 100_000
+
+# cml3._maskcore once loaded; until then, the pairs of the products above
+# MASK_MIN_PAIRS that the dict kernel took instead
+_maskcore = None
+_dict_pairs = 0
 
 # bit ``base << 6 | MAX_DER`` of every generator: 8 KB, and ``low & _LAST``
 # costs only the length of ``low``
@@ -225,15 +256,19 @@ def square_terms(x: dict) -> dict:
 
 def cmul_terms(x: dict, y: dict) -> dict:
     """Twisted commutative product of two elements."""
+    global _maskcore, _dict_pairs
     square = x is y
-    if len(x) * len(y) > MASK_MIN_PAIRS:
-        # imported on first use: a cold start that makes no large product
-        # (a dim or certify run) then never compiles or loads the module
-        from . import _maskcore
-
-        out = _maskcore.square_terms(x) if square else _maskcore.cmul_terms(x, y)
-        if out is not None:
-            return out
+    pairs = len(x) * len(y)
+    if pairs > MASK_MIN_PAIRS:
+        if _maskcore is None:
+            if _dict_pairs + pairs < MASK_LOAD_PAIRS:
+                _dict_pairs += pairs
+            else:
+                from . import _maskcore
+        if _maskcore is not None:
+            out = _maskcore.square_terms(x) if square else _maskcore.cmul_terms(x, y)
+            if out is not None:
+                return out
     if square:
         return square_terms(x)
     return product_terms(x, y)

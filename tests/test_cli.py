@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+from cml3 import _kernel
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src")
 
@@ -277,8 +279,8 @@ def test_n_below_one_is_usage_error():
 
 
 # Runs commands in one interpreter and reports, after the import and after
-# each command, whether numpy is loaded; then makes one twisted product
-# above MASK_MIN_PAIRS, the first call that needs the numpy kernel.
+# each command, whether numpy is loaded; then makes twisted products of the
+# given pair counts, each of x * y with |x| = 50, reporting after each.
 _NUMPY_PROBE = """
 import contextlib, io, itertools, json, sys
 from cml3 import _kernel, cli
@@ -290,18 +292,30 @@ for args in json.loads(sys.argv[1]):
         assert cli.main(args) == 0, args
     loaded.append("numpy" in sys.modules)
 syms = [pack_sym(b, d) for b in range(7) for d in range(4)]
-x = {1 << s: 1 for s in syms}
-y = {sum(1 << s for s in t): 2 for t in itertools.combinations(syms, 3)}
-assert len(x) * len(y) > _kernel.MASK_MIN_PAIRS
-_kernel.cmul_terms(x, y)
-loaded.append("numpy" in sys.modules)
+monomials = [sum(1 << s for s in t) for t in itertools.combinations(syms, 4)]
+x = dict.fromkeys(monomials[:50], 1)
+for pairs in json.loads(sys.argv[2]):
+    assert pairs % 50 == 0 and pairs > _kernel.MASK_MIN_PAIRS
+    _kernel.cmul_terms(x, dict.fromkeys(monomials[:pairs // 50], 2))
+    loaded.append("numpy" in sys.modules)
 print(json.dumps(loaded))
 """
 
 
+def _numpy_loaded(commands, pairs=()):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands),
+         json.dumps(pairs)],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_numpy_loads_only_for_large_products():
     # GF(3) elimination and everything below runs on Python ints; numpy
-    # is imported by the bitmask kernel alone, on the first large product
+    # is imported by the bitmask kernel alone, once the products above
+    # MASK_MIN_PAIRS reach MASK_LOAD_PAIRS pairs in the process
     commands = [
         ["h", "--type", "5,2"],
         ["dim", "--n", "5"],
@@ -310,14 +324,18 @@ def test_numpy_loads_only_for_large_products():
         ["mainid", "--mode", "algebra"],
         ["verify", "--suite", "identities", "--n", "7", "--samples", "200"],
         ["verify", "--suite", "malbos", "--n", "6", "--samples", "300"],
+        # 23,877 pairs in products above the cut
+        ["verify", "--suite", "cml3", "--n", "7", "--samples", "6",
+         "--seed", "30"],
+        # millions of them
+        ["mainid", "--mode", "loop", "--samples", "1", "--seed", "152"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded == [False] * (len(commands) + 1) + [True]
+    assert _numpy_loaded(commands) == [False] * len(commands) + [True]
+    # in a new process: one product just under the budget stays on the
+    # dict kernel, one at it loads the numpy kernel
+    budget = _kernel.MASK_LOAD_PAIRS
+    assert _numpy_loaded([], [budget - 50]) == [False, False]
+    assert _numpy_loaded([], [budget]) == [False, True]
 
 
 # Reports which of loop and twowords are loaded after importing cml3.cli and
@@ -388,6 +406,22 @@ def test_word_span_commands_load_neither_loop_nor_twowords():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[]] * 5 + [["cml3.twowords"], "miss"]
+
+
+def test_loop_suites_leave_twowords_unloaded():
+    # loop imports twowords only for the relation schemas and the 5,2 words
+    commands = [
+        ["verify", "--suite", "cml3", "--n", "4", "--samples", "3"],
+        ["verify", "--suite", "malbos", "--n", "4", "--samples", "20"],
+        ["mainid", "--mode", "loop", "--samples", "1", "--seed", "2"],
+        ["tah"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, json.dumps(commands), "{}"],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[]] + [["cml3.loop"]] * 4 + ["miss"]
 
 
 def test_json_with_csv_is_usage_error():

@@ -4,7 +4,8 @@ Random inputs on both sides of ``_kernel.MASK_MIN_PAIRS``, unit and empty
 elements, and derivation overflow, each checked against the bytes oracle
 (``bytes_oracle.py``), the dict kernel and the ``_kernel`` dispatch.
 Squares are checked the same way against the general product on a copy
-of the input.
+of the input.  The dispatch runs with a load budget of 0 (the
+``numpy_kernel`` fixture), so its large products take the numpy kernel.
 """
 
 import random
@@ -13,8 +14,10 @@ import pytest
 
 import bytes_oracle as oracle
 from bytes_oracle import bytes_terms, int_terms
-from cml3 import _kernel, _maskcore
+from cml3 import _kernel, _maskcore, cli, loop
 from cml3._kernel import MAX_DER, pack_sym
+
+pytestmark = pytest.mark.usefixtures("numpy_kernel")
 
 
 def _key(syms):
@@ -125,6 +128,9 @@ def test_more_than_64_symbols_falls_back(monkeypatch):
     y = {_key([pack_sym(b, 1)]): 2 for b in range(40, 70)}
     assert _maskcore.cmul_terms(x, y) is None
     assert _kernel.cmul_terms(x, y) == _oracle_cmul(x, y)
+    # each fallback is per call: the kernel stays loaded, the tally empty
+    assert _kernel._maskcore is _maskcore
+    assert _kernel._dict_pairs == 0
 
 
 def test_derivation_overflow_raises_exactly_when_dict_kernels_do():
@@ -234,3 +240,43 @@ def test_square_overflow_raises_exactly_when_the_general_product_does():
     for x in (even_top, {**even_top, **big}, {**even_top, **big,
                                               _key([pack_sym(1)]): 1}):
         _assert_square(x)
+
+
+def test_tally_stops_once_the_numpy_kernel_is_loaded(monkeypatch):
+    # an unloaded kernel and a budget of three products just over the cut
+    monkeypatch.setattr(_kernel, "_maskcore", None)
+    rng = random.Random(8)
+    cut = _kernel.MASK_MIN_PAIRS
+    x = _random_terms(rng, 16)
+    y = _random_terms(rng, cut // 16 + 1)
+    pairs = len(x) * len(y)
+    monkeypatch.setattr(_kernel, "MASK_LOAD_PAIRS", 3 * pairs)
+    small = _random_terms(rng, 30)
+    assert _kernel.cmul_terms(small, small) == _oracle_cmul(small, small)
+    assert _kernel._dict_pairs == 0
+    expected = _oracle_cmul(x, y)
+    for tally in (pairs, 2 * pairs, 2 * pairs, 2 * pairs):
+        assert _kernel.cmul_terms(x, y) == expected
+        assert _kernel._dict_pairs == tally
+    assert _kernel._maskcore is _maskcore
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "cml3", "--n", "6", "--samples", "6", "--seed", "427"],
+    ["mainid", "--mode", "loop", "--samples", "1", "--seed", "152"],
+])
+def test_output_is_the_same_on_either_kernel(args, monkeypatch, capsys):
+    # budget 0 loads the numpy kernel on the first large product; an
+    # unreachable one keeps every product on the dict kernel
+    outputs = []
+    for budget in (0, 1 << 62):
+        monkeypatch.setattr(_kernel, "_maskcore", None)
+        monkeypatch.setattr(_kernel, "_dict_pairs", 0)
+        monkeypatch.setattr(_kernel, "MASK_LOAD_PAIRS", budget)
+        loop.lmul.cache_clear()
+        assert cli.main([*args, "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert (_kernel._maskcore is None) == bool(budget)
+        assert (_kernel._dict_pairs > 0) == bool(budget)
+    loop.lmul.cache_clear()
+    assert outputs[0] == outputs[1]

@@ -90,7 +90,7 @@ def _odd_beside(base):
 
 
 @pytest.mark.parametrize("pad", [0, 60])
-def test_top_order_beside_next_generator_raises(pad):
+def test_top_order_beside_next_generator_raises(pad, numpy_kernel):
     # the top order raises before the successor test could skip it, on
     # both sides of MASK_MIN_PAIRS
     rng = random.Random(pad)
