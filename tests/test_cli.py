@@ -389,6 +389,16 @@ _PUBLIC = {
 }
 
 
+def _modules_loaded(commands, names):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, json.dumps(commands),
+         json.dumps(names)],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_word_span_commands_load_neither_loop_nor_twowords():
     commands = [
         ["h", "--type", "5,2"],
@@ -399,13 +409,8 @@ def test_word_span_commands_load_neither_loop_nor_twowords():
     ]
     names = {name: module for module, group in _PUBLIC.items()
              for name in group}
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_PROBE, json.dumps(commands),
-         json.dumps(names)],
-        capture_output=True, text=True, env=_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[]] * 5 + [["cml3.twowords"], "miss"]
+    assert _modules_loaded(commands, names) == (
+        [[]] * 5 + [["cml3.twowords"], "miss"])
 
 
 def test_loop_suites_leave_twowords_unloaded():
@@ -416,12 +421,8 @@ def test_loop_suites_leave_twowords_unloaded():
         ["mainid", "--mode", "loop", "--samples", "1", "--seed", "2"],
         ["tah"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_PROBE, json.dumps(commands), "{}"],
-        capture_output=True, text=True, env=_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[]] + [["cml3.loop"]] * 4 + ["miss"]
+    assert _modules_loaded(commands, {}) == (
+        [[]] + [["cml3.loop"]] * 4 + ["miss"])
 
 
 def test_json_with_csv_is_usage_error():
