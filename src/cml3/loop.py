@@ -18,7 +18,13 @@ sides, and ``linv`` checks each distinct element it inverts the first
 time; a repeat reuses that verdict.  The chain identities evaluate their
 left-normed chains through a ``_ChainMemo``, one per identity, which keeps
 the value of every proper chain prefix it has stepped and drops them all
-with the identity.  Call ``lmul.cache_clear()`` before patching a kernel.
+with the identity.  One call of ``verify_identities`` keeps one dict of
+Leibniz summands for every step of every identity and relation schema,
+the ``derivs`` memo of ``_kernel.assoc_step``, and draws the instantiation
+tuples once per arity.  The identity and pair-model checks add and compare
+raw term dicts, with no ``GElement`` per sum or product; each step and
+each wedge still goes through ``cml3._kernel``.  Call
+``lmul.cache_clear()`` before patching a kernel.
 """
 
 from __future__ import annotations
@@ -274,28 +280,43 @@ class _Identity(dict):
 _ident = _Identity()
 
 
+def _add_into(total: dict, terms: dict, coeff: int = 1) -> dict:
+    """Add ``coeff * terms`` to the term dict ``total`` in place; return it."""
+    coeff %= 3
+    if coeff:
+        for key, c in terms.items():
+            # a nonzero delta leaves 0 only on a key that was present
+            c = (total.get(key, 0) + coeff * c) % 3
+            if c:
+                total[key] = c
+            else:
+                del total[key]
+    return total
+
+
 class _ChainMemo:
     """Left-normed chains on generators, sharing their proper prefixes.
 
-    ``chain(head, pairs)`` is ``eval_word(LeftNormedWord(head, pairs),
-    _ident)``.  ``prefixes`` maps ``(head, pairs prefix)`` to the raw term
-    dict of every proper prefix stepped so far; the last pair of a chain is
-    stepped without being stored.  A vanishing prefix stops the chain, as
-    in ``eval_word``.  The term dicts are shared with the returned
-    elements and never mutated, as no ``GElement`` operation mutates the
-    terms it wraps.  Every step goes through ``_kernel.assoc_step``, where
-    a tracer finds it.
+    ``chain(head, pairs)`` is the term dict of ``eval_word(LeftNormedWord(
+    head, pairs), _ident)``.  ``prefixes`` maps ``(head, pairs prefix)`` to
+    the term dict of every proper prefix stepped so far; the last pair of a
+    chain is stepped without being stored.  A vanishing prefix stops the
+    chain, as in ``eval_word``.  Returned dicts may be stored prefixes, so
+    callers must not mutate them.  Every step goes through
+    ``_kernel.assoc_step``, where a tracer finds it, with ``derivs`` as its
+    memo of Leibniz summands; memos of one suite share that dict.
     """
 
-    def __init__(self):
+    def __init__(self, derivs: dict):
         self.prefixes: dict = {}
+        self.derivs = derivs
 
-    def __call__(self, head: int, pairs) -> GElement:
+    def __call__(self, head: int, pairs) -> dict:
         pairs = tuple(pairs)
         if not pairs:
-            return GElement.generator(head)
+            return {1 << pack_sym(head): 1}
         value = self._prefix(head, pairs[:-1])
-        return GElement._wrap(self._step(value, pairs[-1]))
+        return self._step(value, pairs[-1])
 
     def _prefix(self, head: int, pairs: tuple) -> dict:
         key = (head, pairs)
@@ -308,11 +329,11 @@ class _ChainMemo:
             self.prefixes[key] = value
         return value
 
-    @staticmethod
-    def _step(value: dict, pair) -> dict:
+    def _step(self, value: dict, pair) -> dict:
         if not value:
             return value
-        return _kernel.assoc_step(value, pack_sym(pair[0]), pack_sym(pair[1]))
+        return _kernel.assoc_step(value, pack_sym(pair[0]), pack_sym(pair[1]),
+                                  _kernel._LAST, self.derivs)
 
 
 def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
@@ -322,25 +343,29 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     stays under the exhaustive cap, otherwise on seeded tuples; a failure
     reports the instantiation.  A sampled identity needs ``samples >= 1``:
     with none, ``ValueError`` is raised rather than a vacuous pass.  Each
-    check takes its tuple and the identity's ``_ChainMemo``.
+    check takes its tuple and the identity's ``_ChainMemo``.  The tuples
+    are drawn once per arity and the Leibniz summands kept once per call,
+    for every identity and relation schema.
     """
     _require_generators(n)
     report = []
+    draw = functools.cache(
+        lambda arity: _instantiation_tuples(n, arity, samples, seed))
+    derivs: dict = {}
 
-    def run(identity: str, arity: int,
-            check: Callable[[tuple, _ChainMemo], bool]):
-        tuples, mode = _instantiation_tuples(n, arity, samples, seed)
-        chain = _ChainMemo()
+    def run(identity: str, arity: int, check: Callable[[tuple, _ChainMemo], bool]):
+        tuples, mode = draw(arity)
+        chain = _ChainMemo(derivs)
         failures = [f"{mode}{t}" for t in tuples if not check(t, chain)]
         report.append(_entry(identity, len(tuples), failures))
 
     # one-slot chain ((x,y,a),a,z): skew-symmetric in x, y, z
     def one_slot_skew(t, chain):
         x, y, a, z = t
-        base = chain(x, [(y, a), (a, z)])
+        neg = _add_into({}, chain(x, ((y, a), (a, z))), 2)
         return (
-            base + chain(y, [(x, a), (a, z)]) == GElement.zero()
-            and base + chain(x, [(z, a), (a, y)]) == GElement.zero()
+            chain(y, ((x, a), (a, z))) == neg
+            and chain(x, ((z, a), (a, y))) == neg
         )
 
     run("chain_skew_xyz", 4, one_slot_skew)
@@ -348,8 +373,8 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     # two-slot chain ((((x,y,a),a,b),b,z): symmetric in the slot letters a, b
     def two_slot_symmetry(t, chain):
         x, y, a, b, z = t
-        return chain(x, [(y, a), (a, b), (b, z)]) == chain(
-            x, [(y, b), (b, a), (a, z)]
+        return chain(x, ((y, a), (a, b), (b, z))) == chain(
+            x, ((y, b), (b, a), (a, z))
         )
 
     run("chain_slot_symmetry", 5, two_slot_symmetry)
@@ -357,10 +382,10 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     # ... and skew-symmetric in x, y, z
     def two_slot_skew(t, chain):
         x, y, a, b, z = t
-        base = chain(x, [(y, a), (a, b), (b, z)])
+        neg = _add_into({}, chain(x, ((y, a), (a, b), (b, z))), 2)
         return (
-            base + chain(z, [(y, a), (a, b), (b, x)]) == GElement.zero()
-            and base + chain(y, [(x, a), (a, b), (b, z)]) == GElement.zero()
+            chain(z, ((y, a), (a, b), (b, x))) == neg
+            and chain(y, ((x, a), (a, b), (b, z))) == neg
         )
 
     run("chain_skew_outer", 5, two_slot_skew)
@@ -369,29 +394,27 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     def rewrite4(t, _):
         x, y, z, a, b = t
         lhs = eval_word(Word3((((x, y, z), a, b))), _ident)
-        rhs = (
-            eval_word(Word3(((x, a, b), y, z)), _ident)
-            + eval_word(Word3((x, (y, a, b), z)), _ident)
-            + eval_word(Word3((x, y, (z, a, b))), _ident)
-        )
-        return lhs == rhs
+        rhs: dict = {}
+        for word in (((x, a, b), y, z), (x, (y, a, b), z), (x, y, (z, a, b))):
+            _add_into(rhs, eval_word(Word3(word), _ident).raw())
+        return lhs.raw() == rhs
 
     run("associator_rewrite", 5, rewrite4)
 
     # ia.ja.pa = 0
     def triple_slot(t, chain):
         x, i, j, p, a = t
-        return not chain(x, [(i, a), (j, a), (p, a)])
+        return not chain(x, ((i, a), (j, a), (p, a)))
 
     run("triple_slot_vanishes", 5, triple_slot)
 
     # full linearization of ia.ja.pa = 0
     def triple_slot_linear(t, chain):
         x, i, j, p, a, b, c = t
-        total = GElement.zero()
+        total: dict = {}
         for s1, s2, s3 in ((a, b, c), (a, c, b), (b, a, c),
                            (b, c, a), (c, a, b), (c, b, a)):
-            total = total + chain(x, [(i, s1), (j, s2), (p, s3)])
+            _add_into(total, chain(x, ((i, s1), (j, s2), (p, s3))))
         return not total
 
     run("triple_slot_linearized", 7, triple_slot_linear)
@@ -403,31 +426,34 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
 
     run("associator_derivation_shortcut", 3, shortcut)
 
-    report.append(_schema_soundness(n, samples, seed))
+    report.append(_schema_soundness(draw, derivs))
     return report
 
 
-def _schema_soundness(n: int, samples: int, seed: int) -> dict:
-    """Every relation-schema instantiation vanishes in the algebra."""
+def _schema_soundness(draw: Callable, derivs: dict) -> dict:
+    """Every relation-schema instantiation vanishes in the algebra.
+
+    ``draw(arity)`` gives the suite's instantiation tuples of that arity
+    and their mode, and ``derivs`` is its memo of Leibniz summands.
+    """
     from . import twowords
 
-    rng = random.Random(seed)
     failures = []
     checked = 0
     for name, schema in twowords.SCHEMAS.items():
         letters = schema.letters
         arity = len(letters) + 1  # plus the head
-        tuples, mode = _instantiation_tuples(n, arity, max(1, samples), seed)
-        chain = _ChainMemo()
+        tuples, mode = draw(arity)
+        chain = _ChainMemo(derivs)
         for t in tuples:
             head, rest = t[0], t[1:]
             assign = dict(zip(letters, rest))
-            total = GElement.zero()
+            total: dict = {}
             for coeff, pattern in schema.terms:
-                pairs = [(assign[a], assign[b]) for a, b in pattern]
+                pairs = tuple((assign[a], assign[b]) for a, b in pattern)
                 if any(a == b for a, b in pairs):
                     continue
-                total = total + chain(head, pairs).scale(coeff)
+                _add_into(total, chain(head, pairs), coeff)
             checked += 1
             if total:
                 failures.append(f"{name}:{mode}{t}")
@@ -518,6 +544,34 @@ def mainid_check(mode: str, samples: int = 100, seed: int = 0) -> list[dict]:
 # alternative loop model on pairs of odd elements
 # ---------------------------------------------------------------------------
 
+def _odd(terms: dict) -> dict:
+    """``terms``, once every monomial in it is checked to be odd."""
+    for key in terms:
+        if not key.bit_count() & 1:
+            raise ValueError("components must be homogeneous odd")
+    return terms
+
+
+def _malbos_half(x: dict, y: dict, u: dict, v: dict) -> dict:
+    """x + y + (x ^ y) ^ (u - v) as a new term dict, checked odd."""
+    out = _add_into(dict(x), y)
+    xy = _kernel.wedge_terms(x, y)
+    if xy:  # else the wedge with u - v is 0 too
+        _add_into(out, _kernel.wedge_terms(xy, _add_into(dict(u), v, 2)))
+    return _odd(out)
+
+
+def _malbos_product(p: tuple, q: tuple) -> tuple:
+    """The pair product on term dicts, componentwise twisted sum over the
+    plain exterior product:
+
+        (x1, x2)(y1, y2) = (x1 + y1 + (x1 ^ y1) ^ (x2 - y2),
+                            x2 + y2 + (x2 ^ y2) ^ (y1 - x1)).
+    """
+    (x1, x2), (y1, y2) = p, q
+    return _malbos_half(x1, y1, x2, y2), _malbos_half(x2, y2, y1, x1)
+
+
 @dataclass(frozen=True)
 class MalbosPair:
     """A loop element (x1, x2) with both components homogeneous odd."""
@@ -526,9 +580,8 @@ class MalbosPair:
     x2: GElement
 
     def __post_init__(self):
-        for comp in (self.x1, self.x2):
-            if comp and comp.parity() != 1:
-                raise ValueError("components must be homogeneous odd")
+        _odd(self.x1.raw())
+        _odd(self.x2.raw())
 
     def is_identity(self) -> bool:
         return not self.x1 and not self.x2
@@ -539,23 +592,22 @@ MALBOS_ONE = MalbosPair(GElement.zero(), GElement.zero())
 
 def malbos_mul(p: MalbosPair, q: MalbosPair) -> MalbosPair:
     """Componentwise twisted sum over the plain exterior product."""
-    x1, x2, y1, y2 = p.x1, p.x2, q.x1, q.x2
-    z1 = x1 + y1 + elem_mul(elem_mul(x1, y1), x2 - y2)
-    z2 = x2 + y2 + elem_mul(elem_mul(x2, y2), y1 - x1)
-    return MalbosPair(z1, z2)
+    z1, z2 = _malbos_product((p.x1.raw(), p.x2.raw()),
+                             (q.x1.raw(), q.x2.raw()))
+    return MalbosPair(GElement._wrap(z1), GElement._wrap(z2))
 
 
-def _sample_odd(rng: random.Random, n: int) -> GElement:
-    """Random odd element of the plain Grassmann algebra on underived
-    generators 0..n-1."""
-    out = GElement.zero()
+def _sample_odd(rng: random.Random, n: int) -> dict:
+    """Term dict of a random odd element of the plain Grassmann algebra on
+    underived generators 0..n-1."""
+    out: dict = {}
     for _ in range(rng.randrange(1, 4)):
         size = rng.choice((1, 3)) if n >= 3 else 1
         if size > n:
             size = 1
         picks = sorted(rng.sample(range(n), size))
         key = sum(1 << pack_sym(g) for g in picks)
-        out = out + GElement._wrap({key: rng.choice((1, 2))})
+        _add_into(out, {key: rng.choice((1, 2))})
     return out
 
 
@@ -568,7 +620,8 @@ def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     Runs on min(n, MALBOS_MAX_N) generators.  Moufang is checked on
     consecutive triples of the identity and the samples, so ``samples``
-    below 2 would check none; that raises ``ValueError``.
+    below 2 would check none; that raises ``ValueError``.  Pairs are
+    multiplied as term dicts by ``_malbos_product``.
     """
     _require_generators(n)
     if samples < 2:
@@ -576,38 +629,41 @@ def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
             f"the malbos suite needs samples >= 2, got {samples}")
     n = min(n, MALBOS_MAX_N)
     rng = random.Random(seed)
-    pairs = [MALBOS_ONE]
+    one = ({}, {})
+    pairs = [one]
     pairs.extend(
-        MalbosPair(_sample_odd(rng, n), _sample_odd(rng, n))
+        (_odd(_sample_odd(rng, n)), _odd(_sample_odd(rng, n)))
         for _ in range(samples)
     )
+    mul = _malbos_product
     report = []
 
     failures = []
     for i in range(0, len(pairs) - 1, 2):
         p, q = pairs[i], pairs[i + 1]
-        if malbos_mul(p, q) != malbos_mul(q, p):
+        if mul(p, q) != mul(q, p):
             failures.append(f"pair({i},{i + 1})")
     report.append(_entry("malbos_commutativity", max(0, (len(pairs) - 1) // 2), failures))
 
     failures = []
     for i in range(0, len(pairs) - 2, 3):
         p, q, r = pairs[i], pairs[i + 1], pairs[i + 2]
-        left = malbos_mul(malbos_mul(p, q), malbos_mul(r, p))
-        right = malbos_mul(malbos_mul(p, malbos_mul(q, r)), p)
+        left = mul(mul(p, q), mul(r, p))
+        right = mul(mul(p, mul(q, r)), p)
         if left != right:
             failures.append(f"triple({i})")
+    # reports (pairs-2)//3 of ceil((pairs-2)/3) triples, as perfbench/oracle.py pins
     report.append(_entry("malbos_moufang", max(0, (len(pairs) - 2) // 3), failures))
 
     failures = []
     for i, p in enumerate(pairs):
-        if not malbos_mul(malbos_mul(p, p), p).is_identity():
+        if mul(mul(p, p), p) != one:
             failures.append(f"pair({i})")
     report.append(_entry("malbos_exponent3", len(pairs), failures))
 
     failures = []
     for i, p in enumerate(pairs[:10]):
-        if malbos_mul(p, MALBOS_ONE) != p:
+        if mul(p, one) != p:
             failures.append(f"pair({i})")
     report.append(_entry("malbos_identity_element", min(10, len(pairs)), failures))
 

@@ -505,6 +505,8 @@ def test_tracer_hooks_still_apply(tmp_path):
          {"cli.handler", "words.h", "kernel.assoc_step"}),
         (("verify", "--suite", "identities", "--n", "4", "--samples", "5",
           "--json"), {"cli.handler", "kernel.assoc_step"}),
+        (("verify", "--suite", "malbos", "--n", "6", "--samples", "5",
+          "--json"), {"cli.handler", "kernel.wedge_terms"}),
     ):
         spans = tmp_path / "spans"
         proc = subprocess.run(

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from helpers import random_homogeneous
 
-from cml3 import loop
+from cml3 import _kernel, loop
 from cml3.grassmann import GElement, elem_mul
 from cml3.loop import (
     LOOP_ONE,
@@ -207,21 +208,62 @@ def test_chain_memo_matches_eval_word(n):
     from cml3.words import LeftNormedWord, eval_word
 
     rng = random.Random(n)
-    chain = _ChainMemo()
+    # two memos on one dict of Leibniz summands, as in one suite call
+    derivs = {}
+    chains = [_ChainMemo(derivs), _ChainMemo(derivs)]
     vanished = 0
     for _ in range(150):
         # few letters and repeated ones make shared and vanishing prefixes
         head = rng.randrange(n)
         pairs = tuple((rng.randrange(n), rng.randrange(n))
                       for _ in range(rng.randrange(5)))
-        expected = eval_word(LeftNormedWord(head, pairs), _ident)
-        assert chain(head, pairs) == expected
-        assert chain(head, list(pairs)) == expected
+        expected = eval_word(LeftNormedWord(head, pairs), _ident).raw()
+        rng.shuffle(chains)
+        for chain in chains:
+            assert chain(head, pairs) == expected
+            assert chain(head, list(pairs)) == expected
         vanished += not expected
-    for (head, prefix), terms in chain.prefixes.items():
-        expected = eval_word(LeftNormedWord(head, prefix), _ident)
-        assert GElement._wrap(terms) == expected
+    for chain in chains:
+        for (head, prefix), terms in chain.prefixes.items():
+            expected = eval_word(LeftNormedWord(head, prefix), _ident)
+            assert GElement._wrap(terms) == expected
     assert vanished
+    assert derivs or n == 1
+
+
+def _flip_first_coefficient(op):
+    """``op`` with the coefficient of the first term of each result flipped."""
+    def flipped(*args):
+        out = op(*args)
+        for key in out:
+            out[key] = 3 - out[key]
+            break
+        return out
+    return flipped
+
+
+def test_identities_fail_on_a_corrupted_step(monkeypatch):
+    monkeypatch.setattr(_kernel, "assoc_step",
+                        _flip_first_coefficient(_kernel.assoc_step))
+    report = verify_identities(4, 20, 0)
+    assert not report_passed(report)
+    assert all("witness" in e for e in report if not e["pass"])
+
+
+def test_identities_make_every_step(monkeypatch):
+    # the memos save work per step, not steps: each instantiation steps
+    # every chain past its longest prefix already stepped
+    calls = 0
+    step = _kernel.assoc_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(_kernel, "assoc_step", counted)
+    assert report_passed(verify_identities(7, 1000, 5))
+    assert calls == 40_432
 
 
 def test_verify_identities_small():
@@ -232,17 +274,42 @@ def test_verify_identities_small():
     assert "associator_rewrite" in names
 
 
+def _random_pair(rng, sample):
+    return MalbosPair(GElement._wrap(sample(rng)), GElement._wrap(sample(rng)))
+
+
 def test_malbos_identity_and_commutativity():
     rng = random.Random(5)
     from cml3.loop import _sample_odd
 
     for _ in range(20):
-        p = MalbosPair(_sample_odd(rng, 5), _sample_odd(rng, 5))
-        q = MalbosPair(_sample_odd(rng, 5), _sample_odd(rng, 5))
+        p = _random_pair(rng, lambda r: _sample_odd(r, 5))
+        q = _random_pair(rng, lambda r: _sample_odd(r, 5))
         assert malbos_mul(p, MALBOS_ONE) == p
         assert malbos_mul(p, q) == malbos_mul(q, p)
         cube = malbos_mul(malbos_mul(p, p), p)
         assert cube.is_identity()
+
+
+def _malbos_oracle(p, q):
+    """The pair product on GElements, as the formula reads."""
+    x1, x2, y1, y2 = p.x1, p.x2, q.x1, q.x2
+    return MalbosPair(x1 + y1 + elem_mul(elem_mul(x1, y1), x2 - y2),
+                      x2 + y2 + elem_mul(elem_mul(x2, y2), y1 - x1))
+
+
+def test_malbos_mul_matches_the_formula():
+    rng = random.Random(6)
+    pairs = [MALBOS_ONE] + [
+        _random_pair(rng, lambda r: random_homogeneous(r, 1).raw())
+        for _ in range(30)
+    ]
+    for p in pairs:
+        for q in pairs:
+            pq = malbos_mul(p, q)
+            assert pq == _malbos_oracle(p, q)
+            r = rng.choice(pairs)
+            assert malbos_mul(pq, r) == _malbos_oracle(pq, r)
 
 
 def test_malbos_rejects_even_components():
@@ -253,6 +320,22 @@ def test_malbos_rejects_even_components():
 def test_malbos_verify_report():
     report = malbos_verify(6, samples=60, seed=0)
     assert report_passed(report)
+
+
+def test_malbos_fails_on_a_corrupted_wedge(monkeypatch):
+    monkeypatch.setattr(_kernel, "wedge_terms",
+                        _flip_first_coefficient(_kernel.wedge_terms))
+    report = malbos_verify(6, 20, 0)
+    assert not report_passed(report)
+    assert all("witness" in e for e in report if not e["pass"])
+
+
+def test_malbos_rejects_an_even_product(monkeypatch):
+    # the monomial 0.1 of degree 2
+    even = {1 << _kernel.pack_sym(0) | 1 << _kernel.pack_sym(1): 1}
+    monkeypatch.setattr(_kernel, "wedge_terms", lambda x, y: dict(even))
+    with pytest.raises(ValueError, match="homogeneous odd"):
+        malbos_verify(6, 20, 0)
 
 
 # ---------------------------------------------------------------------------
