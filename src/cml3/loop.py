@@ -16,15 +16,15 @@ a product a run has already made costs a lookup.  ``lmul(u, v)`` and
 ``lmul(v, u)`` are separate entries, so commutativity still computes both
 sides, and ``linv`` checks each distinct element it inverts the first
 time; a repeat reuses that verdict.  The chain identities evaluate their
-left-normed chains through a ``_ChainMemo``, one per identity, which keeps
-the value of every proper chain prefix it has stepped and drops them all
-with the identity.  One call of ``verify_identities`` keeps one dict of
-Leibniz summands for every step of every identity and relation schema,
-the ``derivs`` memo of ``_kernel.assoc_step``, and draws the instantiation
-tuples once per arity.  The identity and pair-model checks add and compare
-raw term dicts, with no ``GElement`` per sum or product; each step and
-each wedge still goes through ``cml3._kernel``.  Call
-``lmul.cache_clear()`` before patching a kernel.
+left-normed chains through a ``_ChainMemo``, one per identity: a trie of
+the chain prefixes it has stepped.  One call of ``verify_identities``
+packs each generator's symbol once, keeps one ``derivs`` memo of Leibniz
+summands for every step, draws the tuples once per arity, makes each inner
+associator once and reads the relation schemas, compiled to letter
+positions, from ``cml3.schemas``.  The identity and pair-model checks add
+and compare raw term dicts, with no ``GElement`` or ``Word3`` per
+instantiation; each step and each wedge still goes through
+``cml3._kernel``.  Call ``lmul.cache_clear()`` before patching a kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import _kernel
 from ._kernel import pack_sym
 from .grassmann import GElement, elem_mul
 from .twisted import associator, cmul
-from .words import LeftNormedWord, Word3, eval_word
+from .words import LeftNormedWord, eval_word
 
 
 class NonInvertible(Exception):
@@ -298,42 +298,43 @@ class _ChainMemo:
     """Left-normed chains on generators, sharing their proper prefixes.
 
     ``chain(head, pairs)`` is the term dict of ``eval_word(LeftNormedWord(
-    head, pairs), _ident)``.  ``prefixes`` maps ``(head, pairs prefix)`` to
-    the term dict of every proper prefix stepped so far; the last pair of a
-    chain is stepped without being stored.  A vanishing prefix stops the
-    chain, as in ``eval_word``.  Returned dicts may be stored prefixes, so
-    callers must not mutate them.  Every step goes through
-    ``_kernel.assoc_step``, where a tracer finds it, with ``derivs`` as its
-    memo of Leibniz summands; memos of one suite share that dict.
+    head, pairs), _ident)``, with ``syms[g]`` the symbol of generator ``g``.
+    ``prefixes`` is a trie walked one pair per level: each node, named by
+    its path packed into one int (a marker bit above the head's 16-bit
+    symbol, then 32 bits per pair: its letters' symbols), maps to the term
+    dict of every proper prefix stepped so far; the last pair is stepped
+    without being stored.  A vanishing prefix stops the chain, as in
+    ``eval_word``.  Callers must not mutate the returned dicts.  Every step
+    goes through ``_kernel.assoc_step``, where a tracer finds it, with
+    ``derivs``, the suite's Leibniz summands.
     """
 
-    def __init__(self, derivs: dict):
+    def __init__(self, derivs: dict, syms: Sequence[int]):
         self.prefixes: dict = {}
         self.derivs = derivs
+        self.syms = syms
 
     def __call__(self, head: int, pairs) -> dict:
-        pairs = tuple(pairs)
+        syms = self.syms
         if not pairs:
-            return {1 << pack_sym(head): 1}
-        value = self._prefix(head, pairs[:-1])
-        return self._step(value, pairs[-1])
-
-    def _prefix(self, head: int, pairs: tuple) -> dict:
-        key = (head, pairs)
-        value = self.prefixes.get(key)
+            return {1 << syms[head]: 1}
+        prefixes, derivs = self.prefixes, self.derivs
+        node = 1 << 16 | syms[head]
+        value = prefixes.get(node)
         if value is None:
-            if pairs:
-                value = self._step(self._prefix(head, pairs[:-1]), pairs[-1])
-            else:
-                value = {1 << pack_sym(head): 1}
-            self.prefixes[key] = value
-        return value
-
-    def _step(self, value: dict, pair) -> dict:
-        if not value:
-            return value
-        return _kernel.assoc_step(value, pack_sym(pair[0]), pack_sym(pair[1]),
-                                  _kernel._LAST, self.derivs)
+            value = prefixes[node] = {1 << syms[head]: 1}
+        for i in range(len(pairs) - 1):
+            a, b = pairs[i]
+            sa, sb = syms[a], syms[b]
+            node = node << 32 | sa << 16 | sb
+            stored = prefixes.get(node)
+            if stored is None:
+                stored = prefixes[node] = value and _kernel.assoc_step(
+                    value, sa, sb, _kernel._LAST, derivs)
+            value = stored
+        a, b = pairs[-1]
+        return value and _kernel.assoc_step(
+            value, syms[a], syms[b], _kernel._LAST, derivs)
 
 
 def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
@@ -343,19 +344,18 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     stays under the exhaustive cap, otherwise on seeded tuples; a failure
     reports the instantiation.  A sampled identity needs ``samples >= 1``:
     with none, ``ValueError`` is raised rather than a vacuous pass.  Each
-    check takes its tuple and the identity's ``_ChainMemo``.  The tuples
-    are drawn once per arity and the Leibniz summands kept once per call,
-    for every identity and relation schema.
+    check takes its tuple and the identity's ``_ChainMemo``.
     """
     _require_generators(n)
     report = []
     draw = functools.cache(
         lambda arity: _instantiation_tuples(n, arity, samples, seed))
     derivs: dict = {}
+    syms = [pack_sym(g) for g in range(n)]
 
     def run(identity: str, arity: int, check: Callable[[tuple, _ChainMemo], bool]):
         tuples, mode = draw(arity)
-        chain = _ChainMemo(derivs)
+        chain = _ChainMemo(derivs, syms)
         failures = [f"{mode}{t}" for t in tuples if not check(t, chain)]
         report.append(_entry(identity, len(tuples), failures))
 
@@ -390,14 +390,21 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
 
     run("chain_skew_outer", 5, two_slot_skew)
 
+    # the associator (u,v,w) of odd elements is d(u ^ v ^ w), as in eval_word
+    def assoc(u, v, w):
+        return _kernel.derive_terms(
+            _kernel.wedge_terms(_kernel.wedge_terms(u, v), w))
+
+    leaf = [{1 << s: 1} for s in syms]
+    inner = functools.cache(lambda x, y, z: assoc(leaf[x], leaf[y], leaf[z]))
+
     # ((x,y,z),a,b) = ((x,a,b),y,z) + (x,(y,a,b),z) + (x,y,(z,a,b))
     def rewrite4(t, _):
         x, y, z, a, b = t
-        lhs = eval_word(Word3((((x, y, z), a, b))), _ident)
-        rhs: dict = {}
-        for word in (((x, a, b), y, z), (x, (y, a, b), z), (x, y, (z, a, b))):
-            _add_into(rhs, eval_word(Word3(word), _ident).raw())
-        return lhs.raw() == rhs
+        rhs = assoc(inner(x, a, b), leaf[y], leaf[z])
+        _add_into(rhs, assoc(leaf[x], inner(y, a, b), leaf[z]))
+        _add_into(rhs, assoc(leaf[x], leaf[y], inner(z, a, b)))
+        return assoc(inner(x, y, z), leaf[a], leaf[b]) == rhs
 
     run("associator_rewrite", 5, rewrite4)
 
@@ -426,34 +433,32 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
 
     run("associator_derivation_shortcut", 3, shortcut)
 
-    report.append(_schema_soundness(draw, derivs))
+    report.append(_schema_soundness(draw, derivs, syms))
     return report
 
 
-def _schema_soundness(draw: Callable, derivs: dict) -> dict:
+def _schema_soundness(draw: Callable, derivs: dict, syms: Sequence[int]) -> dict:
     """Every relation-schema instantiation vanishes in the algebra.
 
-    ``draw(arity)`` gives the suite's instantiation tuples of that arity
-    and their mode, and ``derivs`` is its memo of Leibniz summands.
+    ``draw(arity)`` gives the suite's tuples of that arity (the head, then
+    each schema letter's generator) and their mode; ``derivs`` and ``syms``
+    are the suite's, for its ``_ChainMemo``s.
     """
-    from . import twowords
+    from .schemas import SCHEMAS
 
     failures = []
     checked = 0
-    for name, schema in twowords.SCHEMAS.items():
-        letters = schema.letters
-        arity = len(letters) + 1  # plus the head
-        tuples, mode = draw(arity)
-        chain = _ChainMemo(derivs)
+    for name, schema in SCHEMAS.items():
+        tuples, mode = draw(len(schema.letters) + 1)
+        chain = _ChainMemo(derivs, syms)
         for t in tuples:
-            head, rest = t[0], t[1:]
-            assign = dict(zip(letters, rest))
+            head, gens = t[0], t[1:]
             total: dict = {}
-            for coeff, pattern in schema.terms:
-                pairs = tuple((assign[a], assign[b]) for a, b in pattern)
-                if any(a == b for a, b in pairs):
-                    continue
-                _add_into(total, chain(head, pairs), coeff)
+            for coeff, pattern in schema.pos_terms:
+                pairs = [(gens[i], gens[j]) for i, j in pattern
+                         if gens[i] != gens[j]]
+                if len(pairs) == len(pattern):  # else a pair degenerates
+                    _add_into(total, chain(head, pairs), coeff)
             checked += 1
             if total:
                 failures.append(f"{name}:{mode}{t}")

@@ -6,16 +6,20 @@ written smaller letter first, and pairs are ordered by (high letter, low
 letter).  Words of equal length compare position by position, first pair
 most significant.
 
-Relation schemas are formal GF(3) combinations of pattern 2-words that
-vanish identically when mapped back into the twisted algebra.  For a given
-multidegree case, every instantiation of every schema in the active set is
-embedded as a contiguous pair block at every offset, with all arrangements
-of the remaining letters around it; echelon reduction of the resulting span
+Relation schemas (``cml3.schemas``, re-exported here) are formal GF(3)
+combinations of pattern 2-words that vanish identically when mapped back
+into the twisted algebra.  For a given multidegree case, every
+instantiation of every schema in the active set is embedded as a
+contiguous pair block at every offset, with all arrangements of the
+remaining letters around it; echelon reduction of the resulting span
 (largest word as leading monomial) yields the irregular words, and their
 complement in the word universe bounds the dimension of the case from
 above.  The span rows are built on flat int tuples, not ``Pair`` objects:
-each instantiation's signed pair blocks once, each arrangement of the
-remaining letters once, and then one word-index lookup per term.
+an instantiation is a tuple of case letters indexed by schema letter
+position, its signed pair blocks are built once from the schema's
+position-indexed terms, an instantiation whose blocks repeat an earlier
+one's is skipped, each arrangement of the remaining letters is made once,
+and then a row costs one word-index lookup per term.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .gf3 import SparseRow, rank_only
+from .schemas import CASE_SETS, RELATION_SETS, SCHEMAS, RelationSchema
 from .words import LeftNormedWord, TypeVector, _as_type
 
 
@@ -107,101 +112,6 @@ def lex_compare(u: TwoWord, v: TwoWord) -> int:
 def to_left_normed(word: TwoWord, head: int) -> LeftNormedWord:
     """The left-normed word this 2-word encodes, under the given head."""
     return LeftNormedWord(head, tuple((p.lo, p.hi) for p in word.pairs))
-
-
-# ---------------------------------------------------------------------------
-# relation schemas
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RelationSchema:
-    """A vanishing GF(3) combination of pattern 2-words.
-
-    Pattern letters are placeholder strings; every term uses the same
-    letter multiset.  Instantiating a schema with concrete letters and
-    evaluating it through the word engine gives exactly zero, which the
-    soundness gate asserts.
-    """
-
-    name: str
-    terms: tuple[tuple[int, tuple[tuple[str, str], ...]], ...]
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        seen = []
-        for _, pairs in self.terms:
-            for a, b in pairs:
-                for x in (a, b):
-                    if x not in seen:
-                        seen.append(x)
-        return tuple(seen)
-
-    @property
-    def length(self) -> int:
-        return len(self.terms[0][1])
-
-    def term_multiset(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for a, b in self.terms[0][1]:
-            counts[a] = counts.get(a, 0) + 1
-            counts[b] = counts.get(b, 0) + 1
-        return counts
-
-
-def _schema(name, *terms):
-    parsed = []
-    for coeff, text in terms:
-        pairs = tuple(tuple(tok) for tok in text.split("."))
-        parsed.append((coeff, pairs))
-    return RelationSchema(name, tuple(parsed))
-
-
-# Exchange of two pairs: linearization of the skew/symmetry of the
-# one-slot chain ix.xq = -qx.xi.
-SCHEMA_X = _schema("X", (1, "ij.pq"), (1, "ip.jq"), (1, "jq.ip"), (1, "pq.ij"))
-# Partial linearization of ia.ja.pa = 0.
-SCHEMA_F1 = _schema("f1", (1, "iq.ja.pa"), (1, "ia.jq.pa"), (1, "ia.ja.pq"))
-SCHEMA_F2 = _schema(
-    "f2", (1, "pi.ja.aq"), (1, "pj.ia.aq"), (1, "qi.ja.ap"), (1, "qj.ia.ap")
-)
-# Symmetry of the two-slot chain in its slot letters.
-SCHEMA_F3 = _schema("f3", (1, "pa.ab.bq"), (1, "qa.ab.bp"))
-# Full linearization of ia.ja.pa = 0.
-SCHEMA_G1 = _schema(
-    "g1",
-    (1, "iq.ja.pb"), (1, "iq.jb.pa"), (1, "ia.jq.pb"),
-    (1, "ib.jq.pa"), (1, "ia.jb.pq"), (1, "ib.ja.pq"),
-)
-# Full linearization of pi.ia.ap = 0.
-SCHEMA_G2 = _schema(
-    "g2",
-    (1, "pi.ja.bq"), (1, "pi.jb.aq"), (1, "pj.ia.bq"), (1, "pj.ib.aq"),
-    (1, "qi.ja.bp"), (1, "qi.jb.ap"), (1, "qj.ia.bp"), (1, "qj.ib.ap"),
-)
-# Linearization of xy.xb.yc.bc = 0 in its doubled word letters.
-SCHEMA_G3 = _schema(
-    "g3",
-    (1, "24.1b.3c.bc"), (1, "23.1b.4c.bc"), (1, "14.2b.3c.bc"), (1, "13.2b.4c.bc"),
-)
-SCHEMA_S2 = _schema("s2", (1, "xy.xb.yc.bc"))
-
-SCHEMAS = {
-    s.name: s
-    for s in (
-        SCHEMA_X, SCHEMA_F1, SCHEMA_F2, SCHEMA_F3,
-        SCHEMA_G1, SCHEMA_G2, SCHEMA_G3, SCHEMA_S2,
-    )
-}
-
-RELATION_SETS = {
-    "X": ("X",),
-    "Y": ("X", "f1", "f2", "f3"),
-    "Z1": ("X", "g1", "g2"),
-    "Z2": ("X", "g1", "g2", "g3"),
-}
-
-# Default relation set per supported case.
-CASE_SETS = {"5": "X", "5,1": "Y", "7": "Z1", "5,2": "Z2"}
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +201,30 @@ def catalog_order(words: Iterable[TwoWord]) -> list[TwoWord]:
 # ---------------------------------------------------------------------------
 
 def _instantiations(schema: RelationSchema, counts: dict[int, int]):
-    """Letter maps (not necessarily injective) whose image fits the case."""
-    letters = sorted(counts)
-    pattern = schema.letters
-    need = schema.term_multiset()
+    """Letter maps (not necessarily injective) whose image fits the case.
 
-    def rec(i: int, used: dict[int, int], acc: dict[str, int]):
-        if i == len(pattern):
-            yield dict(acc)
+    Each is a tuple giving the case letter of every schema letter, by the
+    schema letter's position.
+    """
+    letters = sorted(counts)
+    need = schema.pos_counts
+    size = len(need)
+    acc = [0] * size
+
+    def rec(i: int, used: dict[int, int]):
+        if i == size:
+            yield tuple(acc)
             return
-        p = pattern[i]
         for letter in letters:
-            total = used.get(letter, 0) + need[p]
+            total = used.get(letter, 0) + need[i]
             if total > counts[letter]:
                 continue
             used[letter] = total
-            acc[p] = letter
-            yield from rec(i + 1, used, acc)
-            used[letter] -= need[p]
-        acc.pop(p, None)
+            acc[i] = letter
+            yield from rec(i + 1, used)
+            used[letter] -= need[i]
 
-    yield from rec(0, {}, {})
+    yield from rec(0, {})
 
 
 def _flat(pairs: Iterable[Pair]) -> tuple[int, ...]:
@@ -319,26 +232,28 @@ def _flat(pairs: Iterable[Pair]) -> tuple[int, ...]:
     return tuple(x for p in pairs for x in (p.lo, p.hi))
 
 
-def _signed_blocks(schema: RelationSchema, assign: dict[str, int]):
+def _signed_blocks(schema: RelationSchema, assign: tuple[int, ...]):
     """An instantiation's terms as (sign mod 3, canonical pair block).
 
     A block is the ``_flat`` form of the term's canonical pairs; terms with
     a degenerate pair vanish and are left out.
     """
     blocks = []
-    for coeff, pattern in schema.terms:
+    for coeff, pattern in schema.pos_terms:
         sign = coeff
-        block = []
+        block = ()
         for a, b in pattern:
-            la, lb = assign[a], assign[b]
-            if la == lb:
+            la = assign[a]
+            lb = assign[b]
+            if la < lb:
+                block += (la, lb)
+            elif la > lb:
+                block += (lb, la)
+                sign = 3 - sign
+            else:
                 break
-            if la > lb:
-                la, lb = lb, la
-                sign = -sign
-            block += (la, lb)
         else:
-            blocks.append((sign % 3, tuple(block)))
+            blocks.append((sign, block))
     return blocks
 
 
@@ -347,7 +262,9 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
 
     Each instantiation's signed blocks are built once; a row is then one
     index lookup per term, of the fill's head, the block and the fill's
-    tail, all in ``_flat`` form.
+    tail, all in ``_flat`` form.  An instantiation whose schema length and
+    signed blocks, as a multiset, repeat an earlier one's makes the same
+    rows again, which are all in the list already, so it is skipped.
     """
     counts = case_letters(case)
     word_len = sum(counts.values()) // 2
@@ -356,6 +273,7 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
     index = {_flat(w.pairs): i for i, w in enumerate(words)}
     rows: list[dict] = []
     seen: set = set()
+    seen_blocks: set = set()
     fill_cache: dict = {}
     for name in RELATION_SETS[relation_set]:
         schema = SCHEMAS[name]
@@ -364,13 +282,22 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
                 f"schema {name} needs {schema.length}-pair words; "
                 f"case {case} has {word_len}"
             )
-        need = schema.term_multiset()
+        need = schema.pos_counts
+        # Every block holds the instantiation's whole letter multiset, so
+        # the blocks fix the remaining letters too.  The length byte fixes
+        # the block width, so a key's bytes parse one way only.
+        length = bytes((schema.length,))
         for assign in _instantiations(schema, counts):
             blocks = _signed_blocks(schema, assign)
             if not blocks:
                 continue
+            key = length + b"".join(
+                sorted([bytes((sign,) + block) for sign, block in blocks]))
+            if key in seen_blocks:
+                continue
+            seen_blocks.add(key)
             rem = dict(counts)
-            for p, letter in assign.items():
+            for p, letter in enumerate(assign):
                 rem[letter] -= need[p]
             remaining = tuple((k, rem[k]) for k in sorted(rem) if rem[k])
             fills = fill_cache.get(remaining)

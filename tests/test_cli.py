@@ -338,7 +338,7 @@ def test_numpy_loads_only_for_large_products():
     assert _numpy_loaded([], [budget]) == [False, True]
 
 
-# Reports which of loop and twowords are loaded after importing cml3.cli and
+# Reports which of the given modules are loaded after importing cml3.cli and
 # after each command, all in one interpreter; then checks the package root:
 # its lazy public names against their submodules, star import, and a miss.
 _MODULES_PROBE = """
@@ -346,7 +346,7 @@ import contextlib, io, json, sys
 from cml3 import cli
 
 def loaded():
-    return [m for m in ("cml3.loop", "cml3.twowords") if m in sys.modules]
+    return [m for m in json.loads(sys.argv[3]) if m in sys.modules]
 
 out = [loaded()]
 for args in json.loads(sys.argv[1]):
@@ -389,10 +389,11 @@ _PUBLIC = {
 }
 
 
-def _modules_loaded(commands, names):
+def _modules_loaded(commands, names,
+                    modules=("cml3.loop", "cml3.twowords")):
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_PROBE, json.dumps(commands),
-         json.dumps(names)],
+         json.dumps(names), json.dumps(modules)],
         capture_output=True, text=True, env=_env(),
     )
     assert proc.returncode == 0, proc.stderr
@@ -423,6 +424,18 @@ def test_loop_suites_leave_twowords_unloaded():
     ]
     assert _modules_loaded(commands, {}) == (
         [[]] + [["cml3.loop"]] * 4 + ["miss"])
+
+
+def test_identity_suite_leaves_twowords_unloaded():
+    # the identity suite reads the relation schemas from cml3.schemas
+    modules = ["cml3.loop", "cml3.schemas", "cml3.twowords"]
+    commands = [
+        ["verify", "--suite", "cml3", "--n", "4", "--samples", "3"],
+        ["verify", "--suite", "identities", "--n", "4", "--samples", "5"],
+        ["regular", "--case", "7"],
+    ]
+    assert _modules_loaded(commands, {}, modules) == [
+        [], ["cml3.loop"], ["cml3.loop", "cml3.schemas"], modules, "miss"]
 
 
 def test_json_with_csv_is_usage_error():

@@ -202,6 +202,20 @@ def test_suites_reject_n_below_one(suite, n):
         suite(n, 5, 0)
 
 
+def _stored_prefixes(chain):
+    """(head, pairs, terms) of every trie node of a ``_ChainMemo``, read
+    from its packed path; a node's parent must be stored too."""
+    for node, terms in chain.prefixes.items():
+        if node.bit_length() > 17:
+            assert node >> 32 in chain.prefixes
+        pairs = []
+        while node.bit_length() > 17:
+            pairs.append((_kernel.sym_base(node >> 16 & 0xFFFF),
+                          _kernel.sym_base(node & 0xFFFF)))
+            node >>= 32
+        yield _kernel.sym_base(node & 0xFFFF), tuple(reversed(pairs)), terms
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_chain_memo_matches_eval_word(n):
     from cml3.loop import _ChainMemo, _ident
@@ -210,7 +224,8 @@ def test_chain_memo_matches_eval_word(n):
     rng = random.Random(n)
     # two memos on one dict of Leibniz summands, as in one suite call
     derivs = {}
-    chains = [_ChainMemo(derivs), _ChainMemo(derivs)]
+    syms = [_kernel.pack_sym(g) for g in range(n)]
+    chains = [_ChainMemo(derivs, syms), _ChainMemo(derivs, syms)]
     vanished = 0
     for _ in range(150):
         # few letters and repeated ones make shared and vanishing prefixes
@@ -224,7 +239,7 @@ def test_chain_memo_matches_eval_word(n):
             assert chain(head, list(pairs)) == expected
         vanished += not expected
     for chain in chains:
-        for (head, prefix), terms in chain.prefixes.items():
+        for head, prefix, terms in _stored_prefixes(chain):
             expected = eval_word(LeftNormedWord(head, prefix), _ident)
             assert GElement._wrap(terms) == expected
     assert vanished
@@ -264,6 +279,76 @@ def test_identities_make_every_step(monkeypatch):
     monkeypatch.setattr(_kernel, "assoc_step", counted)
     assert report_passed(verify_identities(7, 1000, 5))
     assert calls == 40_432
+
+
+def _entries(report):
+    return {e["identity"]: e for e in report}
+
+
+def test_schema_soundness_fails_on_a_corrupted_term(monkeypatch):
+    import copy
+
+    from cml3 import schemas
+
+    bad = copy.copy(schemas.SCHEMAS["X"])
+    (coeff, pairs), *rest = bad.pos_terms
+    object.__setattr__(bad, "pos_terms", ((3 - coeff, pairs), *rest))
+    monkeypatch.setitem(schemas.SCHEMAS, "X", bad)
+    entry = _entries(verify_identities(4, 20, 0))["relation_schema_soundness"]
+    assert not entry["pass"]
+    assert entry["witness"].startswith("X:exhaustive(")
+
+
+def test_associator_rewrite_fails_on_a_corrupted_wedge(monkeypatch):
+    # the inner associators are memoised per call, from the patched kernel
+    monkeypatch.setattr(_kernel, "wedge_terms",
+                        _flip_first_coefficient(_kernel.wedge_terms))
+    entry = _entries(verify_identities(4, 20, 0))["associator_rewrite"]
+    assert not entry["pass"]
+    assert "witness" in entry
+
+
+def test_compiled_schemas_match_the_string_patterns(monkeypatch):
+    # each schema on 200 seeded tuples over 3 generators, so letters repeat
+    from cml3.loop import _ident, _schema_soundness
+    from cml3.schemas import SCHEMAS
+    from cml3.words import LeftNormedWord, eval_word
+
+    rng = random.Random(11)
+    tuples = {
+        arity: [tuple(rng.randrange(3) for _ in range(arity))
+                for _ in range(200)]
+        for arity in sorted({len(s.letters) + 1 for s in SCHEMAS.values()})
+    }
+    added = []
+    add_into = loop._add_into
+
+    def recorded(total, terms, coeff=1):
+        added.append((coeff, dict(terms)))
+        return add_into(total, terms, coeff)
+
+    monkeypatch.setattr(loop, "_add_into", recorded)
+    syms = [_kernel.pack_sym(g) for g in range(3)]
+    entry = _schema_soundness(lambda arity: (tuples[arity], "sampled"), {}, syms)
+    assert entry["pass"]
+    # the string patterns: a letter dict per tuple, every chain by eval_word
+    expected = []
+    skipped = 0
+    for schema in SCHEMAS.values():
+        for t in tuples[len(schema.letters) + 1]:
+            assign = dict(zip(schema.letters, t[1:]))
+            total = GElement.zero()
+            for coeff, pattern in schema.terms:
+                pairs = tuple((assign[a], assign[b]) for a, b in pattern)
+                if any(a == b for a, b in pairs):
+                    skipped += 1
+                    continue
+                value = eval_word(LeftNormedWord(t[0], pairs), _ident)
+                expected.append((coeff, value.raw()))
+                total = total + value.scale(coeff)
+            assert not total
+    assert skipped and len(expected) > 1000
+    assert added == expected
 
 
 def test_verify_identities_small():

@@ -6,6 +6,7 @@ from cml3.grassmann import GElement
 from cml3.twowords import (
     CASE_SETS,
     FIVE_TWO_WORDS,
+    RELATION_SETS,
     SCHEMAS,
     Pair,
     TwoWord,
@@ -187,6 +188,138 @@ def test_regular_result_independent_of_row_order():
     for _ in range(5):
         rng.shuffle(rekeyed)
         assert rank_only(rekeyed) == base
+
+
+# The span rows as built from the string patterns, with a letter dict per
+# instantiation and no skipping of repeated instantiations: the oracle for
+# the position-indexed rows.
+
+def _string_multiset(schema):
+    letters = [x for pair in schema.terms[0][1] for x in pair]
+    return {x: letters.count(x) for x in letters}
+
+
+def _oracle_instantiations(schema, counts):
+    letters = sorted(counts)
+    pattern = schema.letters
+    need = _string_multiset(schema)
+
+    def rec(i, used, acc):
+        if i == len(pattern):
+            yield dict(acc)
+            return
+        p = pattern[i]
+        for letter in letters:
+            total = used.get(letter, 0) + need[p]
+            if total > counts[letter]:
+                continue
+            used[letter] = total
+            acc[p] = letter
+            yield from rec(i + 1, used, acc)
+            used[letter] -= need[p]
+        acc.pop(p, None)
+
+    yield from rec(0, {}, {})
+
+
+def _oracle_signed_blocks(schema, assign):
+    blocks = []
+    for coeff, pattern in schema.terms:
+        sign = coeff
+        block = []
+        for a, b in pattern:
+            la, lb = assign[a], assign[b]
+            if la == lb:
+                break
+            if la > lb:
+                la, lb = lb, la
+                sign = -sign
+            block += (la, lb)
+        else:
+            blocks.append((sign % 3, tuple(block)))
+    return blocks
+
+
+def _oracle_span_rows(case, relation_set, words):
+    from cml3.twowords import RELATION_SETS, _flat, _pairings
+
+    counts = case_letters(case)
+    word_len = sum(counts.values()) // 2
+    index = {_flat(w.pairs): i for i, w in enumerate(words)}
+    rows, seen, fill_cache = [], set(), {}
+    for name in RELATION_SETS[relation_set]:
+        schema = SCHEMAS[name]
+        need = _string_multiset(schema)
+        for assign in _oracle_instantiations(schema, counts):
+            blocks = _oracle_signed_blocks(schema, assign)
+            if not blocks:
+                continue
+            rem = dict(counts)
+            for p, letter in assign.items():
+                rem[letter] -= need[p]
+            remaining = tuple((k, rem[k]) for k in sorted(rem) if rem[k])
+            fills = fill_cache.get(remaining)
+            if fills is None:
+                fills = list(_pairings(dict(remaining)))
+                fill_cache[remaining] = fills
+            for offset in range(word_len - schema.length + 1):
+                for fill in fills:
+                    head, tail = fill[:2 * offset], fill[2 * offset:]
+                    row = {}
+                    for sign, block in blocks:
+                        key = index[head + block + tail]
+                        c = (row.get(key, 0) + sign) % 3
+                        if c:
+                            row[key] = c
+                        else:
+                            row.pop(key, None)
+                    if not row:
+                        continue
+                    items = tuple(sorted(row.items()))
+                    if items[0][1] == 2:
+                        items = tuple((k, (2 * c) % 3) for k, c in items)
+                    if items not in seen:
+                        seen.add(items)
+                        rows.append(dict(items))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["5", "5,1", "7", "5,2"])
+def test_span_rows_match_the_string_patterns(case):
+    from cml3.twowords import _instantiations, _signed_blocks, _span_rows_indexed
+
+    tv = TypeVector.parse(case)
+    relation_set = CASE_SETS[case]
+    counts = case_letters(tv)
+    for name in RELATION_SETS[relation_set]:
+        schema = SCHEMAS[name]
+        expected = list(_oracle_instantiations(schema, counts))
+        got = list(_instantiations(schema, counts))
+        assert got == [tuple(a[x] for x in schema.letters) for a in expected]
+        for assign, position_assign in zip(expected, got):
+            assert (_signed_blocks(schema, position_assign)
+                    == _oracle_signed_blocks(schema, assign))
+    words = universe(tv)
+    rows = _span_rows_indexed(tv, relation_set, words)
+    # the same rows in the same order, each with its keys in the same order
+    assert ([list(row.items()) for row in rows]
+            == [list(row.items())
+                for row in _oracle_span_rows(tv, relation_set, words)])
+
+
+def test_compiled_schemas_index_their_letters():
+    for schema in SCHEMAS.values():
+        assert all(
+            tuple((schema.letters[i], schema.letters[j]) for i, j in pos)
+            == pattern and coeff == pos_coeff
+            for (coeff, pattern), (pos_coeff, pos)
+            in zip(schema.terms, schema.pos_terms, strict=True)
+        )
+        # every term uses the letter multiset the instantiations count
+        assert schema.term_multiset() == _string_multiset(schema)
+        for _, pattern in schema.terms:
+            letters = [x for pair in pattern for x in pair]
+            assert {x: letters.count(x) for x in letters} == schema.term_multiset()
 
 
 # ---------------------------------------------------------------------------
