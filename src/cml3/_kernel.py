@@ -18,43 +18,61 @@ specialised to an exterior algebra over GF(3):
   ``MAX_DER``) raises ``OverflowError`` instead of spilling into the next
   generator.
 
-Twisted products of more than ``MASK_MIN_PAIRS`` monomial pairs go to the
-numpy kernel (``cml3._maskcore``) instead, which returns the same terms,
-once that kernel is loaded.  Its per-call set-up and the map back to int
-keys cost more than the dict kernel spends on small products: on the
-twisted products of the loop suites the two break even between 1024 and
-2048 pairs, and above that the numpy kernel is up to 7 times faster.
+Twisted products of more than ``JOIN_MIN_PAIRS`` monomial pairs go to
+the disjoint-pair join (``cml3._join``) instead, which returns the same
+terms: it indexes the right factor by symbol bit and visits only the
+pairs that do not collide, 1-2% of those of the loop suites' large
+products.  It is loaded on the first such product, so commands that make
+none (``dim``, ``h`` and the certify commands) never compile it.  On the
+2,557 products above 64 pairs of seven loop jobs, the dict kernel up to
+the cut and the join above it took 0.66-0.67 s for cuts of 256-431 pairs,
+against 0.81 s for cuts of 1024-2048: the join is 1.2-1.3 times slower on
+most products up to 1024 pairs, but faster on the 432-pair products of
+the cml3 suite, whose odd-odd part the dict kernel derives term by term.
 
-Loading it costs more than most commands spend on large products: a cold
-import of numpy and ``_maskcore`` takes 0.18 s (median of 15, 0.11-0.21
-s), while the dict kernel takes about 0.23 us per pair of a product above
-the cut and the numpy kernel 1.1 ms + 0.018 us.  So the dispatch rents
+Products of more than ``MASK_MIN_PAIRS`` pairs go to the numpy kernel
+(``cml3._maskcore``) once it is loaded, which returns the same terms too;
+a product it refuses (past 64 symbols) goes to the join.  On the captured
+products it takes 0.95-1.05 times the join's time at 1024-4096 pairs and
+0.47-0.78 times above.  But loading it costs a cold import of numpy
+and ``_maskcore``, 0.145 s, while it saves about 17.8 ns per pair over
+the join: 26.0 against 43.7 ns on the 15.1M pairs of the captured
+products above the cut (medians of 10 rounds, each of three cold imports
+and one pass of both kernels over the products).  So the dispatch rents
 before it buys (Karlin, Manasse, Rudolph & Sleator, *Competitive snoopy
-caching*, 1988): the dict kernel takes the large products, and a
-process-wide tally counts their pairs, until the tally plus the next
-product reaches ``MASK_LOAD_PAIRS``.  That product loads the numpy kernel
-and takes it, as does every large product after it; a single product at
-or above the budget loads it before it is computed.  A command whose
-large products never reach the budget never imports numpy.  The budget
-comes from the pool of the benchmark's loop jobs (``verify --suite cml3
---samples 6`` and ``mainid --mode loop --samples 1``), modelled from the
-pair counts of each job's products above the cut and the costs above.
-Mean time of the large products and the import, per job:
+caching*, 1988): the join takes the large products, and a process-wide
+tally counts their pairs, until the tally plus the next product reaches
+``MASK_LOAD_PAIRS``.  That product loads the numpy kernel and takes it,
+as does every product above the cut after it; a single product at or
+above the budget loads it before it is computed.  A command whose large
+products never reach the budget never imports numpy.  The budget is the
+break-even of import and saving, 7.8M pairs (median of the 10 rounds,
+6.4-10.9M), rounded to 8M.  Modelled on the benchmark's pool of loop
+jobs (``verify --suite cml3 --samples 6`` and ``mainid --mode loop
+--samples 1``) from the pair counts of each job's products above the cut
+and the rates above, the mean time of the large products and the import,
+per job, is:
 
-    budget           0 (load at once)   100k    200k    400k
-    455 light jobs   0.182 s            0.058   0.061   0.070
-    78 heavy jobs    0.244 s            0.232   0.205   0.202
+    budget                 0 (load at once)   1M     4M     8M     16M    never
+    455 light jobs         0.160 s            0.043  0.024  0.024  0.024  0.024
+    79 heavy jobs          0.198 s            0.118  0.094  0.087  0.088  0.090
+    mainid --mode loop     4.17 s             4.19   4.25   4.32   4.46   6.79
+    verify --suite cml3
+      --n 7 --samples 500  2.72 s             2.74   2.79   2.86   3.01   4.34
 
-(light jobs are those the benchmark draws from; heavy ones every tenth
-of the rest, 53k-15M large pairs).  At 100k the light jobs are at their
-cheapest and the heavy ones no dearer than loading at once; larger
-budgets trade light-job time for heavy-job time (measured on 2 vCPUs,
-Python 3.11, numpy 2.4).
+(light jobs are those the benchmark draws from, 0-3.1M large pairs;
+heavy ones every tenth of the rest, 53k-33M; the two long runs make 155M
+and 99M).  At 8M no light job and 2 of the heavy ones load numpy, and
+the long runs pay 0.14 s for the rent; under the same model the rule this
+replaced (the dict kernel up to a 100k-pair budget, at 0.23 us per pair)
+costs 0.048 s, 0.204 s, 4.20 s and 2.74 s (measured on 2 vCPUs, Python
+3.11, numpy 2.4).
 
 A square, ``cmul_terms(x, x)`` with the same dict passed twice, takes
-``square_terms`` instead, on the same cut: it computes the same terms
-from half the monomial pairs.  ``twisted.cmul(x, x)`` and
-``twisted.cube`` pass the dict twice, so they square this way.
+``square_terms`` instead, or the square of the join or the numpy kernel
+above their cuts: each computes the same terms from half the monomial
+pairs.  ``twisted.cmul(x, x)`` and ``twisted.cube`` pass the dict twice,
+so they square this way.
 
 Callers look the ops up on this module at call time, so a tracer can wrap
 them here.
@@ -67,13 +85,16 @@ MAX_BASE = (1 << (16 - DER_BITS)) - 1
 
 BACKEND = "pure"
 
+JOIN_MIN_PAIRS = 256
 MASK_MIN_PAIRS = 2048
-MASK_LOAD_PAIRS = 100_000
+MASK_LOAD_PAIRS = 8_000_000
 
+# cml3._join once loaded
+_join = None
 # cml3._maskcore once loaded; until then, the pairs of the products above
-# MASK_MIN_PAIRS that the dict kernel took instead
+# MASK_MIN_PAIRS that the join took instead
 _maskcore = None
-_dict_pairs = 0
+_join_pairs = 0
 
 # bit ``base << 6 | MAX_DER`` of every generator: 8 KB, and ``low & _LAST``
 # costs only the length of ``low``
@@ -256,19 +277,21 @@ def square_terms(x: dict) -> dict:
 
 def cmul_terms(x: dict, y: dict) -> dict:
     """Twisted commutative product of two elements."""
-    global _maskcore, _dict_pairs
+    global _join, _maskcore, _join_pairs
     square = x is y
     pairs = len(x) * len(y)
+    if pairs <= JOIN_MIN_PAIRS:
+        return square_terms(x) if square else product_terms(x, y)
     if pairs > MASK_MIN_PAIRS:
         if _maskcore is None:
-            if _dict_pairs + pairs < MASK_LOAD_PAIRS:
-                _dict_pairs += pairs
+            if _join_pairs + pairs < MASK_LOAD_PAIRS:
+                _join_pairs += pairs
             else:
                 from . import _maskcore
         if _maskcore is not None:
             out = _maskcore.square_terms(x) if square else _maskcore.cmul_terms(x, y)
             if out is not None:
                 return out
-    if square:
-        return square_terms(x)
-    return product_terms(x, y)
+    if _join is None:
+        from . import _join
+    return _join.square_terms(x) if square else _join.cmul_terms(x, y)

@@ -11,8 +11,13 @@ over GF(3).
 The results equal :func:`cml3._kernel.product_terms` and
 :func:`cml3._kernel.square_terms` exactly; only the insertion order of the
 returned dict differs.  The per-call numpy set-up costs more than the
-dict kernel spends on small inputs, so :func:`cml3._kernel.cmul_terms`
-sends only large products here.
+other kernels spend on small inputs, and importing numpy more than the
+disjoint-pair join (:mod:`cml3._join`) spends on the large products of
+most commands, so :func:`cml3._kernel.cmul_terms` sends only products
+above ``MASK_MIN_PAIRS`` here, and only once the join has taken
+``MASK_LOAD_PAIRS`` of their pairs.  That happens in long loop-suite
+runs, where this kernel takes the large products in 0.4-0.7 times the
+join's time.  Products it refuses go to the join.
 """
 
 import numpy as np
@@ -186,7 +191,7 @@ def cmul_terms(x: dict, y: dict):
 
     Returns ``None`` when the inputs and the successors of their odd
     parts use more than 64 distinct symbols; the caller then takes the
-    dict kernel.  Raises ``OverflowError`` exactly when the dict kernel
+    join.  Raises ``OverflowError`` exactly when the dict kernel
     does.
     """
     if not x or not y:

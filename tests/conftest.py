@@ -13,5 +13,5 @@ def numpy_kernel(monkeypatch):
     reached ``MASK_LOAD_PAIRS`` pairs in the process; with an empty tally
     and a budget of 0 the first large product loads it.
     """
-    monkeypatch.setattr(_kernel, "_dict_pairs", 0)
+    monkeypatch.setattr(_kernel, "_join_pairs", 0)
     monkeypatch.setattr(_kernel, "MASK_LOAD_PAIRS", 0)

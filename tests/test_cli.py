@@ -280,7 +280,9 @@ def test_n_below_one_is_usage_error():
 
 # Runs commands in one interpreter and reports, after the import and after
 # each command, whether numpy is loaded; then makes twisted products of the
-# given pair counts, each of x * y with |x| = 50, reporting after each.
+# given pair counts, each of x * y with |x| = 50, reporting after each.  All
+# the monomials hold symbol 0, so every pair collides and a product of a
+# million pairs takes the join a fraction of a second.
 _NUMPY_PROBE = """
 import contextlib, io, itertools, json, sys
 from cml3 import _kernel, cli
@@ -291,8 +293,9 @@ for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(args) == 0, args
     loaded.append("numpy" in sys.modules)
-syms = [pack_sym(b, d) for b in range(7) for d in range(4)]
-monomials = [sum(1 << s for s in t) for t in itertools.combinations(syms, 4)]
+syms = [pack_sym(b, d) for b in range(8) for d in range(8)]
+monomials = [1 | sum(1 << s for s in t)
+             for t in itertools.combinations(syms[1:], 3)]
 x = dict.fromkeys(monomials[:50], 1)
 for pairs in json.loads(sys.argv[2]):
     assert pairs % 50 == 0 and pairs > _kernel.MASK_MIN_PAIRS
@@ -327,15 +330,37 @@ def test_numpy_loads_only_for_large_products():
         # 23,877 pairs in products above the cut
         ["verify", "--suite", "cml3", "--n", "7", "--samples", "6",
          "--seed", "30"],
-        # millions of them
+        # about 5.0M of them
         ["mainid", "--mode", "loop", "--samples", "1", "--seed", "152"],
     ]
-    assert _numpy_loaded(commands) == [False] * len(commands) + [True]
-    # in a new process: one product just under the budget stays on the
-    # dict kernel, one at it loads the numpy kernel
+    assert _numpy_loaded(commands) == [False] * (len(commands) + 1)
+    # in a new process: products of a million pairs at most (y holds up to
+    # 39,711 monomials) bring the tally just under the budget and stay on
+    # the join, or to it and load the numpy kernel
     budget = _kernel.MASK_LOAD_PAIRS
-    assert _numpy_loaded([], [budget - 50]) == [False, False]
-    assert _numpy_loaded([], [budget]) == [False, True]
+    chunks = [1_000_000] * ((budget - 1) // 1_000_000)
+    rest = budget - sum(chunks)
+    assert rest - 50 > _kernel.MASK_MIN_PAIRS
+    assert _numpy_loaded([], chunks + [rest - 50]) == [False] * (len(chunks) + 2)
+    assert _numpy_loaded([], chunks + [rest]) == [False] * (len(chunks) + 1) + [True]
+
+
+def test_join_loads_only_for_products_above_its_cut():
+    # dim, h and the certify commands make no product above
+    # JOIN_MIN_PAIRS, so they compile nothing new
+    commands = [
+        ["h", "--type", "5,2"],
+        ["dim", "--n", "5"],
+        ["regular", "--case", "5,2"],
+        ["tah", "--dump"],
+        ["mainid", "--mode", "algebra"],
+        ["verify", "--suite", "identities", "--n", "7", "--samples", "1000"],
+        ["verify", "--suite", "malbos", "--n", "6", "--samples", "300"],
+        ["verify", "--suite", "cml3", "--n", "7", "--samples", "6",
+         "--seed", "30"],
+    ]
+    assert _modules_loaded(commands, {}, ["cml3._join"]) == (
+        [[]] * 8 + [["cml3._join"], "miss"])
 
 
 # Reports which of the given modules are loaded after importing cml3.cli and

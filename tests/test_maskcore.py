@@ -14,7 +14,7 @@ import pytest
 
 import bytes_oracle as oracle
 from bytes_oracle import bytes_terms, int_terms
-from cml3 import _kernel, _maskcore, cli, loop
+from cml3 import _join, _kernel, _maskcore, cli, loop
 from cml3._kernel import MAX_DER, pack_sym
 
 pytestmark = pytest.mark.usefixtures("numpy_kernel")
@@ -113,13 +113,26 @@ def test_odd_odd_with_successor_present():
         _assert_matches(x, y)
 
 
+def _join_calls(monkeypatch):
+    """The names of the join's ops, appended as the dispatch calls them."""
+    calls = []
+    for name in ("cmul_terms", "square_terms"):
+        def spy(*args, _op=getattr(_join, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(_join, name, spy)
+    return calls
+
+
 def test_more_than_64_symbols_falls_back(monkeypatch):
     monkeypatch.setattr(_kernel, "MASK_MIN_PAIRS", 0)
+    calls = _join_calls(monkeypatch)
     # odd x times even y adds no successors: 64 symbols fit, 65 do not
     x = {_key([pack_sym(b)]): 1 for b in range(32)}
     y = {_key([pack_sym(b), pack_sym(b + 1)]): 2
          for b in range(32, 64, 2)}
     _assert_matches(x, y)
+    assert calls == []
     x[_key([pack_sym(100)])] = 1
     assert _maskcore.cmul_terms(x, y) is None
     assert _kernel.cmul_terms(x, y) == _oracle_cmul(x, y)
@@ -128,9 +141,12 @@ def test_more_than_64_symbols_falls_back(monkeypatch):
     y = {_key([pack_sym(b, 1)]): 2 for b in range(40, 70)}
     assert _maskcore.cmul_terms(x, y) is None
     assert _kernel.cmul_terms(x, y) == _oracle_cmul(x, y)
+    # a refused product goes to the join, as one over the join's cut
+    assert len(x) * len(y) > _kernel.JOIN_MIN_PAIRS
+    assert calls == ["cmul_terms", "cmul_terms"]
     # each fallback is per call: the kernel stays loaded, the tally empty
     assert _kernel._maskcore is _maskcore
-    assert _kernel._dict_pairs == 0
+    assert _kernel._join_pairs == 0
 
 
 def test_derivation_overflow_raises_exactly_when_dict_kernels_do():
@@ -208,6 +224,7 @@ def test_square_with_successor_present():
 
 def test_square_past_64_symbols_falls_back(monkeypatch):
     monkeypatch.setattr(_kernel, "MASK_MIN_PAIRS", 0)
+    calls = _join_calls(monkeypatch)
     # even-only squares add no successors: 64 symbols fit, 66 do not
     x = {_key([pack_sym(b), pack_sym(b + 1)]): 1
          for b in range(0, 64, 2)}
@@ -219,6 +236,7 @@ def test_square_past_64_symbols_falls_back(monkeypatch):
     x = {_key([pack_sym(b)]): 1 for b in range(40)}
     assert _maskcore.square_terms(x) is None
     assert _kernel.cmul_terms(x, x) == _oracle_cmul(x, dict(x))
+    assert calls == ["square_terms", "square_terms"]
 
 
 def test_square_overflow_raises_exactly_when_the_general_product_does():
@@ -253,11 +271,11 @@ def test_tally_stops_once_the_numpy_kernel_is_loaded(monkeypatch):
     monkeypatch.setattr(_kernel, "MASK_LOAD_PAIRS", 3 * pairs)
     small = _random_terms(rng, 30)
     assert _kernel.cmul_terms(small, small) == _oracle_cmul(small, small)
-    assert _kernel._dict_pairs == 0
+    assert _kernel._join_pairs == 0
     expected = _oracle_cmul(x, y)
     for tally in (pairs, 2 * pairs, 2 * pairs, 2 * pairs):
         assert _kernel.cmul_terms(x, y) == expected
-        assert _kernel._dict_pairs == tally
+        assert _kernel._join_pairs == tally
     assert _kernel._maskcore is _maskcore
 
 
@@ -266,17 +284,22 @@ def test_tally_stops_once_the_numpy_kernel_is_loaded(monkeypatch):
     ["mainid", "--mode", "loop", "--samples", "1", "--seed", "152"],
 ])
 def test_output_is_the_same_on_either_kernel(args, monkeypatch, capsys):
-    # budget 0 loads the numpy kernel on the first large product; an
-    # unreachable one keeps every product on the dict kernel
+    # budget 0 loads the numpy kernel on the first product above
+    # MASK_MIN_PAIRS; an unreachable one keeps every large product on the
+    # join, and an unreachable join cut keeps every product on the dict
+    # kernel
     outputs = []
-    for budget in (0, 1 << 62):
+    cut = _kernel.JOIN_MIN_PAIRS
+    for budget, join_cut, kernel in ((0, cut, "numpy"), (1 << 62, cut, "join"),
+                                     (1 << 62, 1 << 62, "dict")):
         monkeypatch.setattr(_kernel, "_maskcore", None)
-        monkeypatch.setattr(_kernel, "_dict_pairs", 0)
+        monkeypatch.setattr(_kernel, "_join_pairs", 0)
         monkeypatch.setattr(_kernel, "MASK_LOAD_PAIRS", budget)
+        monkeypatch.setattr(_kernel, "JOIN_MIN_PAIRS", join_cut)
         loop.lmul.cache_clear()
         assert cli.main([*args, "--json"]) == 0
         outputs.append(capsys.readouterr().out)
-        assert (_kernel._maskcore is None) == bool(budget)
-        assert (_kernel._dict_pairs > 0) == bool(budget)
+        assert (_kernel._maskcore is None) == (kernel != "numpy")
+        assert (_kernel._join_pairs > 0) == (kernel == "join")
     loop.lmul.cache_clear()
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
