@@ -16,8 +16,7 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in (
-        ("_kernel", ("BACKEND",)),
-        ("gf3", ("RankResult", "SparseRow", "rank_and_kernel")),
+        ("gf3", ("RankResult", "rank_and_kernel")),
         ("grassmann", ("GElement", "GenSym", "Monomial", "derive", "elem_mul",
                        "mono_mul")),
         ("loop", ("LoopElement", "MalbosPair", "NonInvertible", "lassoc",
@@ -27,10 +26,10 @@ _EXPORTS = {
         ("twisted", ("associator", "cmul", "cube")),
         ("twowords", ("Pair", "RegularReport", "RelationSchema", "TwoWord",
                       "lex_compare", "normalize", "pattern_predicates_case7",
-                      "regular_words", "relation_span")),
+                      "regular_words")),
         ("words", ("DimReport", "LeftNormedWord", "TypeVector", "Word3",
                    "c_n_of_type", "dim_Cn", "enumerate_types", "eval_word",
-                   "h_of_type", "word_vectors")),
+                   "h_of_type")),
     )
     for name in names
 }

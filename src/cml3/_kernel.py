@@ -83,6 +83,7 @@ DER_MASK = (1 << DER_BITS) - 1
 MAX_DER = DER_MASK
 MAX_BASE = (1 << (16 - DER_BITS)) - 1
 
+# perfbench/run.py reads this to label its runs
 BACKEND = "pure"
 
 JOIN_MIN_PAIRS = 256

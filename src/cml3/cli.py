@@ -258,9 +258,10 @@ def _run_regular(args):
     ]
     if str(report.case) == "5,2":
         assign = {i: i for i in range(7)}
-        rows_ = words.word_vectors(
-            [twowords.to_left_normed(w, 0) for w in report.regular], assign
-        )
+        rows_ = [
+            words.eval_word(twowords.to_left_normed(w, 0), assign).raw()
+            for w in report.regular
+        ]
         conditional = gf3.rank_only(rows_)[0]
         results["conditional_bound"] = conditional
         lines.append(f"conditional_bound={conditional}")

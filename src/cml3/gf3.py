@@ -26,63 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
-class SparseRow:
-    """A sparse row over GF(3): column key -> nonzero residue.
-
-    Stored zeros are dropped at construction; iteration follows the column
-    key order.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Mapping | Iterable[tuple] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        cleaned = {}
-        for key, value in items:
-            v = value % 3
-            if v:
-                cleaned[key] = v
-        self._entries = tuple(sorted(cleaned.items()))
-
-    def items(self):
-        return self._entries
-
-    def keys(self):
-        return tuple(k for k, _ in self._entries)
-
-    def get(self, key, default=0):
-        for k, v in self._entries:
-            if k == key:
-                return v
-        return default
-
-    def __getitem__(self, key):
-        for k, v in self._entries:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __bool__(self):
-        return bool(self._entries)
-
-    def __eq__(self, other):
-        if isinstance(other, SparseRow):
-            return self._entries == other._entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._entries)
-
-    def __repr__(self):
-        return f"SparseRow({dict(self._entries)!r})"
-
-
 @dataclass(frozen=True)
 class RankResult:
     """Rank plus an exact, canonical kernel description of a row system.
@@ -97,11 +40,12 @@ class RankResult:
     pivot_keys: tuple
 
 
-def rank_and_kernel(rows: Iterable[Mapping | SparseRow]) -> RankResult:
+def rank_and_kernel(rows: Iterable[Mapping]) -> RankResult:
     """Echelonize a sparse row system over GF(3).
 
     Args:
-        rows: sparse rows sharing one totally ordered column-key universe.
+        rows: mappings from column key to residue, the keys of all rows
+            sharing one total order.
 
     Returns:
         RankResult with deterministic pivot keys (columns processed in
@@ -133,7 +77,7 @@ def rank_and_kernel(rows: Iterable[Mapping | SparseRow]) -> RankResult:
     )
 
 
-def rank_only(rows: Iterable[Mapping | SparseRow]) -> tuple[int, tuple]:
+def rank_only(rows: Iterable[Mapping]) -> tuple[int, tuple]:
     """Rank and pivot keys without kernel bookkeeping.
 
     Same pivoting rule as rank_and_kernel, but skips the row tags, which
@@ -144,7 +88,7 @@ def rank_only(rows: Iterable[Mapping | SparseRow]) -> tuple[int, tuple]:
     return len(leads), tuple(keys[lead.bit_length() - 1] for lead in leads)
 
 
-def row_basis(rows: Iterable[Mapping | SparseRow]) -> list[dict]:
+def row_basis(rows: Iterable[Mapping]) -> list[dict]:
     """Echelon basis of the span of a sparse row system.
 
     One row per pivot, in pivot order: each leads with a 1 at its pivot
@@ -167,7 +111,7 @@ def row_basis(rows: Iterable[Mapping | SparseRow]) -> list[dict]:
 
 def _planes(rows) -> tuple[list, list[tuple[int, int]]]:
     """Sorted column keys and the bit-planes of each row, in input order."""
-    rows = [row if hasattr(row, "items") else dict(row) for row in rows]
+    rows = list(rows)
     keys = sorted(set().union(*rows))
     bit = {k: 1 << i for i, k in enumerate(keys)}
     planes = []

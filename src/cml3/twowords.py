@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .gf3 import SparseRow, rank_only
+from .gf3 import rank_only
 from .schemas import CASE_SETS, RELATION_SETS, SCHEMAS, RelationSchema
 from .words import LeftNormedWord, TypeVector, _as_type
 
@@ -260,6 +260,12 @@ def _signed_blocks(schema: RelationSchema, assign: tuple[int, ...]):
 def _span_rows_indexed(case: TypeVector, relation_set: str, words):
     """Span rows as dicts keyed by universe index, deduplicated up to scalar.
 
+    Every instantiation of every schema in the set occupies a contiguous
+    pair block at every offset, and the remaining case letters fill the
+    other slots in every arrangement; terms whose pairs degenerate under
+    the instantiation vanish.  ``words`` is ``universe(case)``, so index
+    order is word order.
+
     Each instantiation's signed blocks are built once; a row is then one
     index lookup per term, of the fill's head, the block and the fill's
     tail, all in ``_flat`` form.  An instantiation whose schema length and
@@ -324,25 +330,6 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
                         seen.add(items)
                         rows.append(dict(items))
     return rows
-
-
-def relation_span(
-    case: Union[TypeVector, str],
-    relation_set: str,
-) -> list[SparseRow]:
-    """Rows of every embedded schema instantiation, keyed by canonical word.
-
-    Each instantiated schema occupies a contiguous pair block at every
-    offset; the remaining case letters fill the other slots in every
-    arrangement.  Terms whose pairs degenerate under the instantiation
-    vanish and are dropped; duplicate rows (up to scalar) appear once.
-    """
-    case = _as_type(case)
-    words = universe(case)
-    rows = _span_rows_indexed(case, relation_set, words)
-    return [
-        SparseRow({words[i]: c for i, c in row.items()}) for row in rows
-    ]
 
 
 @dataclass(frozen=True)

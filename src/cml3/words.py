@@ -35,8 +35,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from . import _kernel, gf3
 # rank_and_kernel stays importable here: perfbench/tracer.py wraps the gf3
 # names at each module that imports them
-from .gf3 import SparseRow, rank_and_kernel  # noqa: F401
-from .grassmann import GElement, Monomial
+from .gf3 import rank_and_kernel  # noqa: F401
+from .grassmann import GElement
 from ._kernel import MAX_DER, pack_sym
 
 # Soft cap on the generator count; beyond it there is no ground truth and
@@ -214,7 +214,9 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
     map is GF(3)-linear.  So the completions of a set S of states span the
     image of span(S) under those maps, and any basis of span(S) completes to
     the same final span.  Dropping zero states and merging states equal up
-    to scalar are special cases.
+    to scalar are special cases.  The last layer consumes every letter, so
+    the frontier ends in one group: a ``gf3.row_basis`` basis, or a single
+    nonzero value.  h of the type is the size of that last basis.
 
     Inside the enumeration a monomial is a Python int with bit
     ``slot * W + der`` set for each symbol, where the slot of a generator
@@ -292,11 +294,8 @@ def _from_masks(terms: dict, order: Sequence[int], width: int) -> dict:
 
 
 def _span_rank(counts: tuple[int, ...], gens: Sequence[int]) -> int:
-    values = _type_word_values(counts, gens)
-    if not values:
-        return 0
-    # looked up on the module, so a wrapper installed on gf3.rank_only sees it
-    return gf3.rank_only(values)[0]
+    """h of a type: the size of the last basis ``_type_word_values`` keeps."""
+    return len(_type_word_values(counts, gens))
 
 
 def _class_bound_zero(tv: TypeVector) -> bool:
@@ -455,18 +454,6 @@ def dim_Cn(n: int, *, unsafe: bool = False) -> DimReport:
         per_type.append((tv, h, c))
         total += c
     return DimReport(n, tuple(per_type), total)
-
-
-def word_vectors(
-    words: Sequence[Union[Word3, LeftNormedWord]],
-    assign: Mapping[int, int],
-) -> list[SparseRow]:
-    """Evaluation vectors of words as sparse rows keyed by monomial."""
-    rows = []
-    for word in words:
-        value = eval_word(word, assign)
-        rows.append(SparseRow({Monomial(k): c for k, c in value.raw().items()}))
-    return rows
 
 
 def random_word3(rng, a: Union[TypeVector, Iterable[int], str]) -> Word3:

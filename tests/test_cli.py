@@ -397,8 +397,7 @@ print(json.dumps(out))
 
 # every public name of the package root, by the submodule that defines it
 _PUBLIC = {
-    "_kernel": ["BACKEND"],
-    "gf3": ["RankResult", "SparseRow", "rank_and_kernel"],
+    "gf3": ["RankResult", "rank_and_kernel"],
     "grassmann": ["GElement", "GenSym", "Monomial", "derive", "elem_mul",
                   "mono_mul"],
     "loop": ["LoopElement", "MalbosPair", "NonInvertible", "lassoc", "linv",
@@ -407,10 +406,10 @@ _PUBLIC = {
     "twisted": ["associator", "cmul", "cube"],
     "twowords": ["Pair", "RegularReport", "RelationSchema", "TwoWord",
                  "lex_compare", "normalize", "pattern_predicates_case7",
-                 "regular_words", "relation_span"],
+                 "regular_words"],
     "words": ["DimReport", "LeftNormedWord", "TypeVector", "Word3",
               "c_n_of_type", "dim_Cn", "enumerate_types", "eval_word",
-              "h_of_type", "word_vectors"],
+              "h_of_type"],
 }
 
 
@@ -545,6 +544,8 @@ def test_tracer_hooks_still_apply(tmp_path):
           "--json"), {"cli.handler", "kernel.assoc_step"}),
         (("verify", "--suite", "malbos", "--n", "6", "--samples", "5",
           "--json"), {"cli.handler", "kernel.wedge_terms"}),
+        (("regular", "--case", "5,2", "--json"),
+         {"cli.handler", "twowords", "gf3@twowords", "gf3@gf3"}),
     ):
         spans = tmp_path / "spans"
         proc = subprocess.run(

@@ -163,6 +163,18 @@ def test_h_matches_unpruned_rank():
     assert nwords == 7728 + 10368
 
 
+def test_span_rank_is_the_last_basis_size():
+    # the last layer consumes every letter, so the frontier ends in one
+    # group, already a row_basis basis or one nonzero value: its size is
+    # the rank, and _span_rank takes it with no final elimination
+    types = [tv for tv in candidate_types(7)
+             if tv.weight % 2 and not words._class_bound_zero(tv)]
+    assert len(types) == 18
+    for tv in types:
+        values = words._type_word_values(tv.counts, range(tv.letters))
+        assert len(values) == gf3.rank_only(values)[0] == h_of_type(tv), tv
+
+
 def test_n8_scale_pins():
     assert h_of_type((5, 3)) == 7
     assert h_of_type((6, 1, 1)) == 1

@@ -6,13 +6,13 @@ import random
 import bytes_oracle as oracle
 from cml3 import gf3, words
 from cml3._kernel import pack_sym
-from cml3.gf3 import RankResult, SparseRow, rank_and_kernel, rank_only, row_basis
+from cml3.gf3 import RankResult, rank_and_kernel, rank_only, row_basis
 from cml3.grassmann import Monomial
-from cml3.twowords import relation_span, universe
+from cml3.twowords import _span_rows_indexed, universe
 
 
 def test_unit_rows_independent():
-    rows = [SparseRow({"a": 1}), SparseRow({"b": 1})]
+    rows = [{"a": 1}, {"b": 1}]
     res = rank_and_kernel(rows)
     assert res.rank == 2
     assert res.kernel_basis == ()
@@ -21,7 +21,7 @@ def test_unit_rows_independent():
 
 def test_proportional_rows():
     r = {"a": 1, "c": 2}
-    res = rank_and_kernel([SparseRow(r), SparseRow({k: 2 * v for k, v in r.items()})])
+    res = rank_and_kernel([r, {k: 2 * v for k, v in r.items()}])
     assert res.rank == 1
     assert res.kernel_basis == ((1, 1),)  # r + 2r = 0 mod 3
 
@@ -32,21 +32,20 @@ def test_empty_input():
 
 
 def test_zero_row_gets_unit_kernel_vector():
-    res = rank_and_kernel([SparseRow({"a": 1}), SparseRow({})])
+    res = rank_and_kernel([{"a": 1}, {}])
     assert res.rank == 1
     assert res.kernel_basis == ((0, 1),)
 
 
-def test_sparse_row_normalizes():
-    row = SparseRow({"b": 5, "a": 3, "c": 1})
-    assert row.keys() == ("b", "c")  # 3 = 0 dropped, 5 = 2 kept
-    assert row["b"] == 2
-    assert list(row) == ["b", "c"]
-
-
-def test_sparse_row_rejects_nothing_but_orders():
-    row = SparseRow([("z", 1), ("a", 2)])
-    assert row.keys() == ("a", "z")
+def test_dict_row_residues_normalize():
+    # 3 = 0 is dropped, so "a" is no pivot; 5 = 2 leads the row at "b"
+    row = {"b": 5, "a": 3, "c": 1}
+    res = rank_and_kernel([row, {"b": 2, "c": 1}])
+    assert res.rank == 1
+    assert res.pivot_keys == ("b",)
+    assert res.kernel_basis == ((1, 2),)
+    assert rank_only([row]) == (1, ("b",))
+    assert row_basis([row]) == [{"b": 1, "c": 2}]
 
 
 def _random_rows(rng, nrows, ncols, density=0.5):
@@ -196,6 +195,16 @@ def test_rank_only_matches_rank_and_kernel():
         assert pivots == full.pivot_keys
 
 
+def test_one_pass_generator_rows():
+    # each entry point reads its rows once, so a generator gives what the
+    # list gives
+    rng = random.Random(4)
+    for _ in range(10):
+        rows = _dependent_rows(rng, rng.randrange(1, 9), rng.randrange(1, 70))
+        for op in (rank_and_kernel, rank_only, row_basis):
+            assert op(row for row in rows) == op(rows), op.__name__
+
+
 def test_key_types_share_one_order():
     # the eliminator sees only the order of the keys, so keys of any type
     # that sort the same way give the same rank, kernel and pivots
@@ -227,15 +236,18 @@ def test_key_types_share_one_order():
 
 
 def test_pinned_relation_span_and_word_span():
-    # the relation span of case 5,2 (3987 rows over its 468 words): the
-    # seven columns without a pivot are the case's regular words
-    rows = relation_span("5,2", "Z2")
+    # the relation span of case 5,2 (3987 rows over its 468 words, keyed by
+    # index in ascending word order): the seven columns without a pivot are
+    # the case's regular words
+    case = words.TypeVector.parse("5,2")
+    case_words = universe(case)
+    rows = _span_rows_indexed(case, "Z2", case_words)
     rank, pivots = rank_only(rows)
     cols = sorted({k for row in rows for k in row})
     assert (len(rows), len(cols), rank) == (3987, 468, 461)
     assert list(pivots) == sorted(pivots)
     free = set(cols) - set(pivots)
-    assert [str(w) for w in cols if w in free] == [
+    assert [str(case_words[i]) for i in cols if i in free] == [
         "56.34.26.15", "56.45.23.16", "56.36.25.14", "56.46.23.15",
         "56.46.15.23", "56.46.25.13", "56.46.35.12",
     ]

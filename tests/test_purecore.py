@@ -6,8 +6,10 @@ string of sorted uint16 symbols and merges symbol tuples.  They share no
 code, and every op is compared term for term through ``int_terms`` and
 ``bytes_terms``.
 
-Squares below ``_kernel.MASK_MIN_PAIRS`` are checked here against the
-general product; larger ones in ``test_maskcore.py``.
+Squares up to ``_kernel.JOIN_MIN_PAIRS`` pairs, the dict kernel's range,
+are checked here against the general product.  The join's range is
+checked in ``test_join.py``, and only the range above
+``_kernel.MASK_MIN_PAIRS`` in ``test_maskcore.py``.
 """
 
 import random
@@ -164,14 +166,14 @@ def _assert_square(x):
 
 @pytest.mark.parametrize("parity", ["mixed", "even", "odd"])
 def test_square_matches_the_general_product(parity):
-    # small inputs: the squares stay under the mask kernel's cut
+    # small inputs: the squares stay on the dict kernel, under the join's cut
     rng = random.Random(len(parity))
     keep = {"mixed": (0, 1), "even": (0,), "odd": (1,)}[parity]
     for _ in range(200):
         # few bases and deep orders put s and s + 1 in one odd monomial
         x = _random_terms(rng, rng.randrange(1, 12), 4, 3)
         x = {k: c for k, c in x.items() if k.bit_count() % 2 in keep}
-        assert len(x) ** 2 <= kernel.MASK_MIN_PAIRS
+        assert len(x) ** 2 <= kernel.JOIN_MIN_PAIRS
         _assert_square(x)
 
 

@@ -9,7 +9,7 @@ from cml3.twowords import (
     RELATION_SETS,
     SCHEMAS,
     Pair,
-    TwoWord,
+    _span_rows_indexed,
     catalog_order,
     case_letters,
     lex_compare,
@@ -17,7 +17,6 @@ from cml3.twowords import (
     normalize,
     pattern_predicates_case7,
     regular_words,
-    relation_span,
     universe,
 )
 from cml3.words import TypeVector, eval_word
@@ -160,16 +159,9 @@ def test_schema_instances_vanish_in_algebra():
             assert not total, (name, head, assign)
 
 
-def test_relation_span_keys_are_words():
-    rows = relation_span(TypeVector.parse("5"), "X")
-    assert rows
-    for row in rows:
-        for key in row.keys():
-            assert isinstance(key, TwoWord)
-
-
 def test_relation_span_empty_letter_set():
-    assert relation_span(TypeVector.parse("1"), "X") == []
+    case = TypeVector.parse("1")
+    assert _span_rows_indexed(case, "X", universe(case)) == []
 
 
 def test_regular_result_independent_of_row_order():

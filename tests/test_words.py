@@ -16,7 +16,6 @@ from cml3.words import (
     eval_word,
     h_of_type,
     random_word3,
-    word_vectors,
 )
 
 IDENT = {i: i for i in range(16)}
@@ -214,15 +213,19 @@ V_WORDS = [
 ]
 
 
+def _word_rows(words):
+    return [eval_word(w, IDENT).raw() for w in words]
+
+
 def test_word_vectors_v_system():
-    res = rank_and_kernel(word_vectors(V_WORDS, IDENT))
+    res = rank_and_kernel(_word_rows(V_WORDS))
     assert res.rank == 6
     assert res.kernel_basis == ((1, 1, 0, 2, 1, 1, 1),)
 
 
 def test_word_vectors_empty_and_duplicates():
-    assert word_vectors([], IDENT) == []
-    rows = word_vectors(V_WORDS + V_WORDS[:1], IDENT)
+    assert rank_and_kernel(_word_rows([])).rank == 0
+    rows = _word_rows(V_WORDS + V_WORDS[:1])
     assert rank_and_kernel(rows).rank == 6
 
 
