@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NoReturn
 
 # loop and twowords are imported by the handlers that use them, so the
 # word-span commands (dim, h, cn, types) never compile them
@@ -82,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_exit(message: str) -> NoReturn:
-    """Usage or I/O error: one line on stderr, exit status 2."""
+def _error_exit(message: str):
+    """Usage or I/O error: one line on stderr, exit status 2.  Never
+    returns."""
     print(f"cml3: {message}", file=sys.stderr)
     raise SystemExit(2)
 

@@ -22,12 +22,12 @@ is one value and no column count needs a special case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Value):
     """Rank plus an exact, canonical kernel description of a row system.
 
     kernel_basis holds one coefficient per input row; every vector
@@ -35,9 +35,11 @@ class RankResult:
     equals the number of input rows.
     """
 
-    rank: int
-    kernel_basis: tuple[tuple[int, ...], ...]
-    pivot_keys: tuple
+    __slots__ = _fields = ("rank", "kernel_basis", "pivot_keys")
+
+    def __init__(self, rank: int, kernel_basis: tuple[tuple[int, ...], ...],
+                 pivot_keys: tuple):
+        self._init(rank, kernel_basis, pivot_keys)
 
 
 def rank_and_kernel(rows: Iterable[Mapping]) -> RankResult:

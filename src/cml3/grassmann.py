@@ -13,22 +13,29 @@ arguments and the term mapping handed to ``GElement`` is copied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from collections.abc import Iterable, Iterator, Mapping
+from functools import total_ordering
 
 from . import _kernel
 from ._kernel import pack_sym, positions, sym_base, sym_der
+from ._value import Value
 
 
-@dataclass(frozen=True, order=True)
-class GenSym:
-    """One odd generator: base index and derivation order."""
+@total_ordering
+class GenSym(Value):
+    """One odd generator: base index and derivation order, ordered by
+    (base, der)."""
 
-    base: int
-    der: int = 0
+    __slots__ = _fields = ("base", "der")
 
-    def __post_init__(self):
-        pack_sym(self.base, self.der)  # range check
+    def __init__(self, base: int, der: int = 0):
+        pack_sym(base, der)  # range check
+        self._init(base, der)
+
+    def __lt__(self, other: "GenSym") -> bool:
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     @property
     def packed(self) -> int:
@@ -48,8 +55,7 @@ def _parse_sym(text: str) -> int:
     return pack_sym(int(m.group(1)), int(m.group(2) or 0))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """Exterior monomial: strictly increasing generator symbols.
 
     ``key`` is the kernel's int, with bit ``base << 6 | der`` per symbol.
@@ -57,7 +63,10 @@ class Monomial:
     degree-major, then lexicographic on the symbol sequence.
     """
 
-    key: int = 0
+    __slots__ = _fields = ("key",)
+
+    def __init__(self, key: int = 0):
+        self._init(key)
 
     @classmethod
     def from_syms(cls, syms: Iterable[GenSym | tuple[int, int]]) -> "Monomial":
@@ -108,7 +117,7 @@ def _sort_key(key: int):
     return key.bit_count(), tuple(positions(key))
 
 
-def mono_mul(x: Monomial, y: Monomial) -> Optional[tuple[Monomial, int]]:
+def mono_mul(x: Monomial, y: Monomial) -> tuple[Monomial, int] | None:
     """Exterior product of two monomials.
 
     Returns (product monomial, sign in {1, 2}), or None when a generator
@@ -212,7 +221,7 @@ class GElement:
     def derive(self) -> "GElement":
         return GElement._wrap(_kernel.derive_terms(self._terms))
 
-    def parity(self) -> Optional[int]:
+    def parity(self) -> int | None:
         """0 or 1 for homogeneous elements, None for mixed or zero."""
         seen = {k.bit_count() & 1 for k in self._terms}
         if len(seen) == 1:

@@ -32,11 +32,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import _kernel
 from ._kernel import pack_sym
+from ._value import Value
 from .grassmann import GElement, elem_mul
 from .twisted import associator, cmul
 from .words import LeftNormedWord, eval_word
@@ -46,15 +46,15 @@ class NonInvertible(Exception):
     """The exponent-3 contract failed; the element model is inconsistent."""
 
 
-@dataclass(frozen=True)
-class LoopElement:
+class LoopElement(Value):
     """A unital element 1 + a with nilpotent part a."""
 
-    value: GElement
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value.constant != 1:
+    def __init__(self, value: GElement):
+        if value.constant != 1:
             raise ValueError("loop elements have constant term exactly 1")
+        self._init(value)
 
     @property
     def nilpotent(self) -> GElement:
@@ -577,16 +577,15 @@ def _malbos_product(p: tuple, q: tuple) -> tuple:
     return _malbos_half(x1, y1, x2, y2), _malbos_half(x2, y2, y1, x1)
 
 
-@dataclass(frozen=True)
-class MalbosPair:
+class MalbosPair(Value):
     """A loop element (x1, x2) with both components homogeneous odd."""
 
-    x1: GElement
-    x2: GElement
+    __slots__ = _fields = ("x1", "x2")
 
-    def __post_init__(self):
-        _odd(self.x1.raw())
-        _odd(self.x2.raw())
+    def __init__(self, x1: GElement, x2: GElement):
+        _odd(x1.raw())
+        _odd(x2.raw())
+        self._init(x1, x2)
 
     def is_identity(self) -> bool:
         return not self.x1 and not self.x2

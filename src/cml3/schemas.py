@@ -5,17 +5,16 @@ A schema is written with placeholder letters, one string per pair
 terms with every letter replaced by its position in ``letters``, so an
 instantiation is a tuple indexed by position: ``twowords`` builds relation
 rows from such tuples and ``loop`` checks that each one vanishes in the
-algebra.  This module imports nothing from the package, so the identity
-suite reads the schemas without loading ``twowords``.
+algebra.  This module imports only the value-class base from the package,
+so the identity suite reads the schemas without loading ``twowords``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(Value):
     """A vanishing GF(3) combination of pattern 2-words.
 
     Pattern letters are placeholder strings; every term uses the same
@@ -29,25 +28,23 @@ class RelationSchema:
     ``letters``.
     """
 
-    name: str
-    terms: tuple[tuple[int, tuple[tuple[str, str], ...]], ...]
-    letters: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    pos_terms: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = field(
-        init=False, repr=False, compare=False)
-    pos_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("name", "terms")
+    __slots__ = _fields + ("letters", "pos_terms", "pos_counts")
 
-    def __post_init__(self):
+    def __init__(self, name: str,
+                 terms: tuple[tuple[int, tuple[tuple[str, str], ...]], ...]):
+        self._init(name, terms)
         letters = tuple(dict.fromkeys(
-            x for _, pairs in self.terms for pair in pairs for x in pair))
+            x for _, pairs in terms for pair in pairs for x in pair))
         pos = {x: i for i, x in enumerate(letters)}
         counts = [0] * len(letters)
-        for pair in self.terms[0][1]:
+        for pair in terms[0][1]:
             for x in pair:
                 counts[pos[x]] += 1
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "pos_terms", tuple(
             (coeff % 3, tuple((pos[a], pos[b]) for a, b in pairs))
-            for coeff, pairs in self.terms))
+            for coeff, pairs in terms))
         object.__setattr__(self, "pos_counts", tuple(counts))
 
     @property

@@ -25,26 +25,25 @@ and then a row costs one word-index lookup per term.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, total_ordering
-from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from ._value import Value
 from .gf3 import rank_only
 from .schemas import CASE_SETS, RELATION_SETS, SCHEMAS, RelationSchema
 from .words import LeftNormedWord, TypeVector, _as_type
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Pair:
+class Pair(Value):
     """An antisymmetric letter pair in canonical (lo < hi) form."""
 
-    lo: int
-    hi: int
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"pair must satisfy lo < hi: ({self.lo}, {self.hi})")
+    def __init__(self, lo: int, hi: int):
+        if lo >= hi:
+            raise ValueError(f"pair must satisfy lo < hi: ({lo}, {hi})")
+        self._init(lo, hi)
 
     def rank(self) -> tuple[int, int]:
         return (self.hi, self.lo)
@@ -58,12 +57,13 @@ class Pair:
         return f"({self.lo},{self.hi})"
 
 
-@dataclass(frozen=True)
-class TwoWord:
+class TwoWord(Value):
     """A sequence of canonical pairs plus the sign from canonicalization."""
 
-    pairs: tuple[Pair, ...]
-    sign: int = 1
+    __slots__ = _fields = ("pairs", "sign")
+
+    def __init__(self, pairs: tuple[Pair, ...], sign: int = 1):
+        self._init(pairs, sign)
 
     def monic(self) -> "TwoWord":
         return TwoWord(self.pairs, 1) if self.sign != 1 else self
@@ -332,21 +332,21 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
     return rows
 
 
-@dataclass(frozen=True)
-class RegularReport:
+class RegularReport(Value):
     """Outcome of the span reduction for one case."""
 
-    case: TypeVector
-    relation_set: str
-    universe: tuple[TwoWord, ...]
-    irregular: tuple[TwoWord, ...]
-    regular: tuple[TwoWord, ...]
-    bound: int
+    __slots__ = _fields = ("case", "relation_set", "universe", "irregular",
+                           "regular", "bound")
+
+    def __init__(self, case: TypeVector, relation_set: str,
+                 universe: tuple[TwoWord, ...], irregular: tuple[TwoWord, ...],
+                 regular: tuple[TwoWord, ...], bound: int):
+        self._init(case, relation_set, universe, irregular, regular, bound)
 
 
 def regular_words(
-    case: Union[TypeVector, str],
-    relation_set: Optional[str] = None,
+    case: TypeVector | str,
+    relation_set: str | None = None,
 ) -> RegularReport:
     """Echelon-reduce the relation span; leading monomials are irregular.
 
@@ -400,7 +400,7 @@ def _x_irregular(p1: Pair, p2: Pair) -> bool:
     )
 
 
-def pattern_predicates_case7(word: TwoWord) -> tuple[str, Optional[int]]:
+def pattern_predicates_case7(word: TwoWord) -> tuple[str, int | None]:
     """Classify a word of the all-distinct six-letter case by the three
     explicit reduction patterns; independent of the span computation.
 

@@ -28,16 +28,15 @@ weight at least 3 on too few letters) are skipped before any enumeration;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import _kernel, gf3
 # rank_and_kernel stays importable here: perfbench/tracer.py wraps the gf3
 # names at each module that imports them
 from .gf3 import rank_and_kernel  # noqa: F401
-from .grassmann import GElement
 from ._kernel import MAX_DER, pack_sym
+from ._value import Value
 
 # Soft cap on the generator count; beyond it there is no ground truth and
 # the enumeration cost explodes.
@@ -47,17 +46,17 @@ MAX_SAFE_LETTERS = 7
 MAX_SAFE_WEIGHT = 2 * MAX_SAFE_N - 1
 
 
-@dataclass(frozen=True)
-class TypeVector:
+class TypeVector(Value):
     """Multidegree of a 3-word: counts[i-1] letters appear exactly i times."""
 
-    counts: tuple[int, ...]
+    __slots__ = _fields = ("counts",)
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+    def __init__(self, counts: tuple[int, ...]):
+        if any(c < 0 for c in counts):
             raise ValueError("negative multiplicity count")
-        if self.counts and self.counts[-1] == 0:
+        if counts and counts[-1] == 0:
             raise ValueError("trailing zero in type vector")
+        self._init(counts)
 
     @classmethod
     def of(cls, counts: Iterable[int]) -> "TypeVector":
@@ -69,9 +68,11 @@ class TypeVector:
     @classmethod
     def parse(cls, text: str) -> "TypeVector":
         parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-        if not parts:
+        tv = cls.of(int(p) for p in parts)
+        if not tv.counts:
+            # no part, or every part 0: no letter at all
             raise ValueError(f"empty type vector: {text!r}")
-        return cls.of(int(p) for p in parts)
+        return tv
 
     @property
     def weight(self) -> int:
@@ -138,32 +139,36 @@ def _collect_leaves(tree, out):
             _collect_leaves(child, out)
 
 
-@dataclass(frozen=True)
-class LeftNormedWord:
+class LeftNormedWord(Value):
     """Word of shape ((..((head, a1, a2), a3, a4).."), one pair per step."""
 
-    head: int
-    tail: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("head", "tail")
+
+    def __init__(self, head: int, tail: tuple[tuple[int, int], ...] = ()):
+        self._init(head, tail)
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(Value):
     """Per-type dimensions of the 3-word span on n generators."""
 
-    n: int
-    per_type: tuple[tuple[TypeVector, int, int], ...]
-    total: int
+    __slots__ = _fields = ("n", "per_type", "total")
 
-    def __post_init__(self):
-        if self.total != sum(c for _, _, c in self.per_type):
+    def __init__(self, n: int,
+                 per_type: tuple[tuple[TypeVector, int, int], ...],
+                 total: int):
+        if total != sum(c for _, _, c in per_type):
             raise ValueError("total does not match per-type sum")
+        self._init(n, per_type, total)
 
 
-def eval_word(
-    word: Union[Word3, LeftNormedWord],
-    assign: Mapping[int, int],
-) -> GElement:
-    """Evaluate a word with leaves mapped to generators through ``assign``."""
+def eval_word(word: Word3 | LeftNormedWord, assign: Mapping[int, int]):
+    """Evaluate a word with leaves mapped to generators through ``assign``.
+
+    Returns a ``cml3.grassmann.GElement``.  That module is imported here,
+    not at the top, so the word-span commands never load it.
+    """
+    from .grassmann import GElement
+
     if isinstance(word, LeftNormedWord):
         try:
             head = assign[word.head]
@@ -337,8 +342,8 @@ def _h_cached(counts: tuple[int, ...]) -> int:
 
 
 def h_of_type(
-    a: Union[TypeVector, Iterable[int], str],
-    assign: Optional[Callable[[int], int]] = None,
+    a: TypeVector | Iterable[int] | str,
+    assign: Callable[[int], int] | None = None,
 ) -> int:
     """Dimension of the span of all 3-words of one type.
 
@@ -362,7 +367,7 @@ def _as_type(a) -> TypeVector:
     return TypeVector.of(a)
 
 
-def c_n_of_type(n: int, a: Union[TypeVector, Iterable[int], str]) -> int:
+def c_n_of_type(n: int, a: TypeVector | Iterable[int] | str) -> int:
     """Words of one type over n generators: multinomial choice times h."""
     tv = _as_type(a)
     if tv.letters > n:
@@ -408,7 +413,7 @@ def candidate_types(n: int) -> list[TypeVector]:
     return out
 
 
-def past_verified_range(scope: Union[int, TypeVector], unsafe: bool) -> bool:
+def past_verified_range(scope: int | TypeVector, unsafe: bool) -> bool:
     """Whether a run on n = ``scope`` generators, or of one type, is past the cap.
 
     The caps bound the range with ground truth: n <= MAX_SAFE_N, and a type
@@ -456,7 +461,7 @@ def dim_Cn(n: int, *, unsafe: bool = False) -> DimReport:
     return DimReport(n, tuple(per_type), total)
 
 
-def random_word3(rng, a: Union[TypeVector, Iterable[int], str]) -> Word3:
+def random_word3(rng, a: TypeVector | Iterable[int] | str) -> Word3:
     """A random full ternary word of the given type (letters canonical)."""
     tv = _as_type(a)
     leaves = []

@@ -224,6 +224,17 @@ def _one_line_usage_error(proc):
     assert proc.stderr.startswith("cml3: ")
 
 
+def test_all_zero_type_is_usage_error():
+    # every part 0 leaves no letter, as ",," does
+    for args in (("h", "--type", "0"), ("h", "--type", "0,0", "--json"),
+                 ("h", "--type", ",,"), ("cn", "--n", "3", "--type", "0")):
+        proc = run_cli(*args, check=False)
+        _one_line_usage_error(proc)
+        assert proc.stderr == (
+            f"cml3: empty type vector: {args[args.index('--type') + 1]!r}\n")
+        assert proc.stdout == "", args
+
+
 def test_expect_missing_file_is_usage_error(tmp_path):
     proc = run_cli("h", "--type", "5,2", "--expect", str(tmp_path / "nope.txt"),
                    check=False)
@@ -414,9 +425,9 @@ _PUBLIC = {
 
 
 def _modules_loaded(commands, names,
-                    modules=("cml3.loop", "cml3.twowords")):
+                    modules=("cml3.loop", "cml3.twowords"), flags=()):
     proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_PROBE, json.dumps(commands),
+        [sys.executable, *flags, "-c", _MODULES_PROBE, json.dumps(commands),
          json.dumps(names), json.dumps(modules)],
         capture_output=True, text=True, env=_env(),
     )
@@ -436,6 +447,36 @@ def test_word_span_commands_load_neither_loop_nor_twowords():
              for name in group}
     assert _modules_loaded(commands, names) == (
         [[]] * 5 + [["cml3.twowords"], "miss"])
+
+
+def test_word_span_commands_load_no_value_class_machinery():
+    # no dataclasses (with inspect) and no cml3.grassmann; -S keeps site
+    # hooks from importing typing first
+    commands = [
+        ["h", "--type", "5,2"],
+        ["dim", "--n", "5"],
+        ["types", "--n", "5"],
+        ["cn", "--n", "5", "--type", "3,1"],
+    ]
+    modules = ["dataclasses", "inspect", "typing", "cml3.grassmann"]
+    assert _modules_loaded(commands, {}, modules, ["-S"]) == (
+        [[]] * 5 + ["miss"])
+
+
+def test_no_command_loads_dataclasses():
+    commands = [
+        ["verify", "--suite", "cml3", "--n", "4", "--samples", "3"],
+        ["verify", "--suite", "identities", "--n", "4", "--samples", "5"],
+        ["verify", "--suite", "malbos", "--n", "4", "--samples", "20"],
+        ["regular", "--case", "5,2"],
+        ["tah"],
+        ["mainid", "--mode", "algebra"],
+        ["mainid", "--mode", "loop", "--samples", "1", "--seed", "2"],
+    ]
+    # -S, so that only the package and the standard library load modules
+    modules = ["dataclasses", "inspect"]
+    assert _modules_loaded(commands, {}, modules, ["-S"]) == (
+        [[]] * 8 + ["miss"])
 
 
 def test_loop_suites_leave_twowords_unloaded():

@@ -44,6 +44,10 @@ def test_typevector_rejects_bad_input():
         TypeVector((1, 0))
     with pytest.raises(ValueError):
         TypeVector((-1,))
+    for text in ("", ",,", "0", "0,0", " 0 , 0 "):
+        with pytest.raises(ValueError, match="empty type vector"):
+            TypeVector.parse(text)
+    assert TypeVector.parse("0,1").counts == (0, 1)
 
 
 # ---------------------------------------------------------------------------
