@@ -17,16 +17,13 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("gf3", ("RankResult", "rank_and_kernel")),
-        ("grassmann", ("GElement", "GenSym", "Monomial", "derive", "elem_mul",
-                       "mono_mul")),
-        ("loop", ("LoopElement", "MalbosPair", "NonInvertible", "lassoc",
-                  "linv", "lmul", "mainid_check", "malbos_mul",
-                  "malbos_verify", "tah_witness", "verify_cml3",
-                  "verify_identities")),
+        ("grassmann", ("GElement", "derive", "elem_mul")),
+        ("loop", ("LoopElement", "NonInvertible", "lassoc", "linv", "lmul",
+                  "mainid_check", "malbos_mul", "malbos_verify",
+                  "tah_witness", "verify_cml3", "verify_identities")),
         ("twisted", ("associator", "cmul", "cube")),
-        ("twowords", ("Pair", "RegularReport", "RelationSchema", "TwoWord",
-                      "lex_compare", "normalize", "pattern_predicates_case7",
-                      "regular_words")),
+        ("twowords", ("RegularReport", "RelationSchema", "normalize",
+                      "pattern_predicates_case7", "regular_words")),
         ("words", ("DimReport", "LeftNormedWord", "TypeVector", "Word3",
                    "c_n_of_type", "dim_Cn", "enumerate_types", "eval_word",
                    "h_of_type")),

@@ -249,7 +249,7 @@ def _run_regular(args):
         "universe": len(report.universe),
         "irregular": len(report.irregular),
         "bound": report.bound,
-        "regular": [str(w) for w in report.regular],
+        "regular": [twowords.word_str(w) for w in report.regular],
     }
     passed = True
     lines = [
@@ -277,8 +277,8 @@ def _run_regular(args):
         lines.append(f"cross_check={results['cross_check']}")
     if args.list_words:
         # bare word-list dump, one canonical word per line
-        lines = [str(w) for w in report.regular]
-    rows = [("word",)] + [(str(w),) for w in report.regular]
+        lines = results["regular"]
+    rows = [("word",)] + [(w,) for w in results["regular"]]
     return results, passed, lines, rows
 
 

@@ -6,6 +6,12 @@ even derivation that shifts ``base(der)`` to ``base(der+1)`` and obeys the
 Leibniz rule with no sign.  Even-length monomials span the even part, odd
 lengths the odd part.
 
+A monomial is one int, the kernel's key: bit ``base << 6 | der`` is set
+for each of its symbols, so bit order is symbol order and the unit is 0.
+``GElement`` maps these keys to coefficients, and ``mono_str`` prints one
+key, as ``str`` and ``parse`` write and read it.  Terms print degree-major,
+then by their symbol sequence.
+
 Element values are immutable by convention: no operation mutates its
 arguments and the term mapping handed to ``GElement`` is copied.
 """
@@ -13,36 +19,10 @@ arguments and the term mapping handed to ``GElement`` is copied.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping
-from functools import total_ordering
+from collections.abc import Mapping
 
 from . import _kernel
 from ._kernel import pack_sym, positions, sym_base, sym_der
-from ._value import Value
-
-
-@total_ordering
-class GenSym(Value):
-    """One odd generator: base index and derivation order, ordered by
-    (base, der)."""
-
-    __slots__ = _fields = ("base", "der")
-
-    def __init__(self, base: int, der: int = 0):
-        pack_sym(base, der)  # range check
-        self._init(base, der)
-
-    def __lt__(self, other: "GenSym") -> bool:
-        if other.__class__ is self.__class__:
-            return self._key < other._key
-        return NotImplemented
-
-    @property
-    def packed(self) -> int:
-        return pack_sym(self.base, self.der)
-
-    def __str__(self) -> str:
-        return f"{self.base}({self.der})" if self.der else str(self.base)
 
 
 _SYM_RE = re.compile(r"^(\d+)(?:\((\d+)\))?$")
@@ -55,80 +35,23 @@ def _parse_sym(text: str) -> int:
     return pack_sym(int(m.group(1)), int(m.group(2) or 0))
 
 
-class Monomial(Value):
-    """Exterior monomial: strictly increasing generator symbols.
-
-    ``key`` is the kernel's int, with bit ``base << 6 | der`` per symbol.
-    The empty monomial, key 0, is the algebra unit.  Ordering is
-    degree-major, then lexicographic on the symbol sequence.
-    """
-
-    __slots__ = _fields = ("key",)
-
-    def __init__(self, key: int = 0):
-        self._init(key)
-
-    @classmethod
-    def from_syms(cls, syms: Iterable[GenSym | tuple[int, int]]) -> "Monomial":
-        packed = []
-        for s in syms:
-            if isinstance(s, GenSym):
-                packed.append(s.packed)
-            else:
-                packed.append(pack_sym(*s))
-        for a, b in zip(packed, packed[1:]):
-            if a >= b:
-                raise ValueError("monomial symbols must strictly increase")
-        return cls(sum(1 << s for s in packed))
-
-    @property
-    def syms(self) -> tuple[GenSym, ...]:
-        return tuple(GenSym(sym_base(s), sym_der(s)) for s in positions(self.key))
-
-    @property
-    def degree(self) -> int:
-        return self.key.bit_count()
-
-    @property
-    def parity(self) -> int:
-        return self.degree & 1
-
-    def sort_key(self):
-        return _sort_key(self.key)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Monomial") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __str__(self) -> str:
-        if not self.key:
-            return "[1]"
-        # the bare generator 1 writes its order so it cannot be read as
-        # the unit monomial
-        if self.key == 1 << pack_sym(1, 0):
-            return "[1(0)]"
-        return "[" + ".".join(str(s) for s in self.syms) + "]"
-
-
 def _sort_key(key: int):
     """Degree, then the symbols in order: not the order of the ints."""
     return key.bit_count(), tuple(positions(key))
 
 
-def mono_mul(x: Monomial, y: Monomial) -> tuple[Monomial, int] | None:
-    """Exterior product of two monomials.
-
-    Returns (product monomial, sign in {1, 2}), or None when a generator
-    repeats and the product is zero.  The sign is the parity of the merge
-    permutation.
-    """
-    product = _kernel.wedge_terms({x.key: 1}, {y.key: 1})
-    if not product:
-        return None
-    ((key, sign),) = product.items()
-    return Monomial(key), sign
+def mono_str(key: int) -> str:
+    """The text of a monomial: its symbols in order, ``base`` or
+    ``base(der)``, joined by dots in brackets; the unit is ``[1]``."""
+    if not key:
+        return "[1]"
+    # the bare generator 1 writes its order so it cannot be read as
+    # the unit monomial
+    if key == 1 << pack_sym(1, 0):
+        return "[1(0)]"
+    return "[" + ".".join(
+        f"{sym_base(s)}({sym_der(s)})" if sym_der(s) else str(sym_base(s))
+        for s in positions(key)) + "]"
 
 
 class GElement:
@@ -167,10 +90,6 @@ class GElement:
     def raw(self) -> dict:
         """The internal term dict.  Callers must not mutate it."""
         return self._terms
-
-    def monomials(self) -> Iterator[tuple[Monomial, int]]:
-        for key in sorted(self._terms, key=_sort_key):
-            yield Monomial(key), self._terms[key]
 
     @property
     def constant(self) -> int:
@@ -249,7 +168,9 @@ class GElement:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*{m}" for m, c in self.monomials())
+        terms = self._terms
+        return " + ".join(f"{terms[k]}*{mono_str(k)}"
+                          for k in sorted(terms, key=_sort_key))
 
     def __repr__(self) -> str:
         return f"GElement({self})"

@@ -6,7 +6,9 @@ exponent 3 under the twisted product: squaring inverts, every associator
 cubes to the identity, and the Moufang identity holds exactly.  The
 verification suites below check those facts, the chain-symmetry identities
 of the word calculus, and the alternative-model loop on pairs of odd
-Grassmann elements.
+Grassmann elements.  A loop element is a ``LoopElement``; a pair-model
+element is a plain tuple ``(x1, x2)`` of odd term dicts, which
+``malbos_mul`` multiplies.
 
 All checks run on exact arithmetic: each reported pass is a proof for that
 instantiation, and failures carry the instantiation as a witness.
@@ -577,28 +579,14 @@ def _malbos_product(p: tuple, q: tuple) -> tuple:
     return _malbos_half(x1, y1, x2, y2), _malbos_half(x2, y2, y1, x1)
 
 
-class MalbosPair(Value):
-    """A loop element (x1, x2) with both components homogeneous odd."""
+def malbos_mul(p: tuple, q: tuple) -> tuple:
+    """The pair product of two pairs (x1, x2) of odd term dicts.
 
-    __slots__ = _fields = ("x1", "x2")
-
-    def __init__(self, x1: GElement, x2: GElement):
-        _odd(x1.raw())
-        _odd(x2.raw())
-        self._init(x1, x2)
-
-    def is_identity(self) -> bool:
-        return not self.x1 and not self.x2
-
-
-MALBOS_ONE = MalbosPair(GElement.zero(), GElement.zero())
-
-
-def malbos_mul(p: MalbosPair, q: MalbosPair) -> MalbosPair:
-    """Componentwise twisted sum over the plain exterior product."""
-    z1, z2 = _malbos_product((p.x1.raw(), p.x2.raw()),
-                             (q.x1.raw(), q.x2.raw()))
-    return MalbosPair(GElement._wrap(z1), GElement._wrap(z2))
+    Raises ``ValueError`` unless every component is homogeneous odd.
+    """
+    for x in p + q:
+        _odd(x)
+    return _malbos_product(p, q)
 
 
 def _sample_odd(rng: random.Random, n: int) -> dict:

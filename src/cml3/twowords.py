@@ -1,10 +1,11 @@
 """Straightening calculus on 2-words.
 
 A left-normed word's tail is encoded as an associative word on antisymmetric
-letter pairs; a pair flips sign when its letters swap.  Canonical pairs are
-written smaller letter first, and pairs are ordered by (high letter, low
-letter).  Words of equal length compare position by position, first pair
-most significant.
+letter pairs; a pair flips sign when its letters swap.  A 2-word is one flat
+int tuple, the low and the high letter of each canonical pair in turn
+(``(lo, hi, lo, hi, ...)``, lo < hi), and ``word_str`` prints it.  Pairs are
+ordered by (high letter, low letter).  Words of equal length compare
+position by position, first pair most significant.
 
 Relation schemas (``cml3.schemas``, re-exported here) are formal GF(3)
 combinations of pattern 2-words that vanish identically when mapped back
@@ -14,9 +15,8 @@ contiguous pair block at every offset, with all arrangements of the
 remaining letters around it; echelon reduction of the resulting span
 (largest word as leading monomial) yields the irregular words, and their
 complement in the word universe bounds the dimension of the case from
-above.  The span rows are built on flat int tuples, not ``Pair`` objects:
-an instantiation is a tuple of case letters indexed by schema letter
-position, its signed pair blocks are built once from the schema's
+above.  An instantiation is a tuple of case letters indexed by schema
+letter position, its signed pair blocks are built once from the schema's
 position-indexed terms, an instantiation whose blocks repeat an earlier
 one's is skipped, each arrangement of the remaining letters is made once,
 and then a row costs one word-index lookup per term.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from ._value import Value
 from .gf3 import rank_only
@@ -34,84 +34,33 @@ from .schemas import CASE_SETS, RELATION_SETS, SCHEMAS, RelationSchema
 from .words import LeftNormedWord, TypeVector, _as_type
 
 
-@total_ordering
-class Pair(Value):
-    """An antisymmetric letter pair in canonical (lo < hi) form."""
-
-    __slots__ = _fields = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        if lo >= hi:
-            raise ValueError(f"pair must satisfy lo < hi: ({lo}, {hi})")
-        self._init(lo, hi)
-
-    def rank(self) -> tuple[int, int]:
-        return (self.hi, self.lo)
-
-    def __lt__(self, other: "Pair") -> bool:
-        return self.rank() < other.rank()
-
-    def __str__(self) -> str:
-        if self.lo < 10 and self.hi < 10:
-            return f"{self.lo}{self.hi}"
-        return f"({self.lo},{self.hi})"
+def word_str(word: tuple[int, ...]) -> str:
+    """A 2-word's text: its pairs joined by dots, each written ``lohi``,
+    or ``(lo,hi)`` when a letter is above 9."""
+    return ".".join(
+        f"{lo}{hi}" if hi < 10 else f"({lo},{hi})"
+        for lo, hi in zip(word[::2], word[1::2]))
 
 
-class TwoWord(Value):
-    """A sequence of canonical pairs plus the sign from canonicalization."""
-
-    __slots__ = _fields = ("pairs", "sign")
-
-    def __init__(self, pairs: tuple[Pair, ...], sign: int = 1):
-        self._init(pairs, sign)
-
-    def monic(self) -> "TwoWord":
-        return TwoWord(self.pairs, 1) if self.sign != 1 else self
-
-    def __lt__(self, other: "TwoWord") -> bool:
-        return lex_compare(self, other) < 0
-
-    def __le__(self, other: "TwoWord") -> bool:
-        return lex_compare(self, other) <= 0
-
-    def __str__(self) -> str:
-        return ".".join(str(p) for p in self.pairs)
-
-    def letters(self) -> list[int]:
-        out = []
-        for p in self.pairs:
-            out.extend((p.lo, p.hi))
-        return out
-
-
-def normalize(raw: Sequence[tuple[int, int]]) -> TwoWord:
-    """Canonicalize raw (letter, letter) pairs, tracking the sign."""
-    pairs = []
+def normalize(raw: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Canonicalize raw (letter, letter) pairs: the 2-word and the sign
+    of the swaps it took."""
+    flat = ()
     sign = 1
     for a, b in raw:
         if a == b:
             raise ValueError(f"degenerate pair ({a}, {b})")
         if a < b:
-            pairs.append(Pair(a, b))
+            flat += (a, b)
         else:
-            pairs.append(Pair(b, a))
-            sign = (sign * 2) % 3
-    return TwoWord(tuple(pairs), sign)
+            flat += (b, a)
+            sign = 3 - sign
+    return flat, sign
 
 
-def lex_compare(u: TwoWord, v: TwoWord) -> int:
-    """Position-wise comparison by the pair order; -1, 0 or 1."""
-    if len(u.pairs) != len(v.pairs):
-        raise ValueError("cannot compare 2-words of different lengths")
-    for a, b in zip(u.pairs, v.pairs):
-        if a.rank() != b.rank():
-            return -1 if a.rank() < b.rank() else 1
-    return 0
-
-
-def to_left_normed(word: TwoWord, head: int) -> LeftNormedWord:
+def to_left_normed(word: tuple[int, ...], head: int) -> LeftNormedWord:
     """The left-normed word this 2-word encodes, under the given head."""
-    return LeftNormedWord(head, tuple((p.lo, p.hi) for p in word.pairs))
+    return LeftNormedWord(head, tuple(zip(word[::2], word[1::2])))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +94,8 @@ def case_letters(case: TypeVector) -> dict[int, int]:
 def _pairings(counts: dict[int, int]) -> Iterator[tuple[int, ...]]:
     """All canonical pair sequences exhausting a letter multiset.
 
-    Each is a flat int tuple, lo and hi of each pair in turn (the
-    ``_flat`` form).  Distinct pair choices at each slot make the emitted
-    sequences unique.
+    Each is a 2-word, a flat int tuple.  Distinct pair choices at each
+    slot make the emitted sequences unique.
     """
     total = sum(counts.values())
     if total % 2:
@@ -175,25 +123,18 @@ def _pairings(counts: dict[int, int]) -> Iterator[tuple[int, ...]]:
     yield from rec(dict(counts), total // 2)
 
 
-def universe(case: TypeVector) -> list[TwoWord]:
+def universe(case: TypeVector) -> list[tuple[int, ...]]:
     """All canonical 2-words of a case, ascending lexicographic order."""
-    # each pair ranks by (hi, lo), as Pair.rank
-    flats = sorted(_pairings(case_letters(case)),
-                   key=lambda f: tuple(zip(f[1::2], f[::2])))
-    return [
-        TwoWord(tuple(Pair(f[i], f[i + 1]) for i in range(0, len(f), 2)))
-        for f in flats
-    ]
+    # each pair ranks by (hi, lo)
+    return sorted(_pairings(case_letters(case)),
+                  key=lambda w: tuple(zip(w[1::2], w[::2])))
 
 
-def catalog_order(words: Iterable[TwoWord]) -> list[TwoWord]:
+def catalog_order(words: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Number a word universe the way the degree-3 list is printed:
     rightmost pair most significant, descending."""
-    return sorted(
-        words,
-        key=lambda w: tuple(p.rank() for p in reversed(w.pairs)),
-        reverse=True,
-    )
+    return sorted(words, key=lambda w: tuple(zip(w[::-2], w[-2::-2])),
+                  reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +168,10 @@ def _instantiations(schema: RelationSchema, counts: dict[int, int]):
     yield from rec(0, {})
 
 
-def _flat(pairs: Iterable[Pair]) -> tuple[int, ...]:
-    """Canonical pairs as one flat int tuple: lo, hi of each pair in turn."""
-    return tuple(x for p in pairs for x in (p.lo, p.hi))
-
-
 def _signed_blocks(schema: RelationSchema, assign: tuple[int, ...]):
     """An instantiation's terms as (sign mod 3, canonical pair block).
 
-    A block is the ``_flat`` form of the term's canonical pairs; terms with
+    A block is the term's canonical pairs as a flat tuple; terms with
     a degenerate pair vanish and are left out.
     """
     blocks = []
@@ -268,7 +204,7 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
 
     Each instantiation's signed blocks are built once; a row is then one
     index lookup per term, of the fill's head, the block and the fill's
-    tail, all in ``_flat`` form.  An instantiation whose schema length and
+    tail, all flat tuples.  An instantiation whose schema length and
     signed blocks, as a multiset, repeat an earlier one's makes the same
     rows again, which are all in the list already, so it is skipped.
     """
@@ -276,7 +212,7 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
     word_len = sum(counts.values()) // 2
     if word_len == 0:
         return []
-    index = {_flat(w.pairs): i for i, w in enumerate(words)}
+    index = {w: i for i, w in enumerate(words)}
     rows: list[dict] = []
     seen: set = set()
     seen_blocks: set = set()
@@ -339,8 +275,9 @@ class RegularReport(Value):
                            "regular", "bound")
 
     def __init__(self, case: TypeVector, relation_set: str,
-                 universe: tuple[TwoWord, ...], irregular: tuple[TwoWord, ...],
-                 regular: tuple[TwoWord, ...], bound: int):
+                 universe: tuple[tuple[int, ...], ...],
+                 irregular: tuple[tuple[int, ...], ...],
+                 regular: tuple[tuple[int, ...], ...], bound: int):
         self._init(case, relation_set, universe, irregular, regular, bound)
 
 
@@ -387,41 +324,37 @@ def _regular_cached(counts: tuple[int, ...], relation_set: str) -> RegularReport
 # independent reduction patterns for the six-letter case
 # ---------------------------------------------------------------------------
 
-def _x_irregular(p1: Pair, p2: Pair) -> bool:
+def _x_irregular(p1: tuple[int, int], p2: tuple[int, int]) -> bool:
     # On four distinct letters w < x < y < z the irregular 2-pair words are
     # yz.wx and xz.wy.
-    letters = sorted((p1.lo, p1.hi, p2.lo, p2.hi))
+    letters = sorted(p1 + p2)
     if len(set(letters)) != 4:
         return False
     w, x, y, z = letters
-    return (p1, p2) in (
-        (Pair(y, z), Pair(w, x)),
-        (Pair(x, z), Pair(w, y)),
-    )
+    return (p1, p2) in (((y, z), (w, x)), ((x, z), (w, y)))
 
 
-def pattern_predicates_case7(word: TwoWord) -> tuple[str, int | None]:
+def pattern_predicates_case7(word: tuple[int, ...]) -> tuple[str, int | None]:
     """Classify a word of the all-distinct six-letter case by the three
     explicit reduction patterns; independent of the span computation.
 
     Returns ("regular", None) or ("irregular", step).
     """
-    if len(word.pairs) != 3 or len(set(word.letters())) != 6:
+    if len(word) != 6 or len(set(word)) != 6:
         raise ValueError("predicates apply to three distinct pairs")
-    for i in range(2):
-        if _x_irregular(word.pairs[i], word.pairs[i + 1]):
-            return ("irregular", 1)
-    (p1, p2, p3) = word.pairs
+    p1, p2, p3 = word[:2], word[2:4], word[4:]
+    if _x_irregular(p1, p2) or _x_irregular(p2, p3):
+        return ("irregular", 1)
     # one letter from each pair, strictly decreasing front to back
-    for s in (p1.lo, p1.hi):
-        for l in (p2.lo, p2.hi):
-            for m in (p3.lo, p3.hi):
+    for s in p1:
+        for l in p2:
+            for m in p3:
                 if s > l > m:
                     return ("irregular", 2)
     # in-pair orderings (i,j), (p,q), (r,t) with i >= t, j >= p, q >= r
-    for i, j in ((p1.lo, p1.hi), (p1.hi, p1.lo)):
-        for p, q in ((p2.lo, p2.hi), (p2.hi, p2.lo)):
-            for r, t in ((p3.lo, p3.hi), (p3.hi, p3.lo)):
+    for i, j in (p1, p1[::-1]):
+        for p, q in (p2, p2[::-1]):
+            for r, t in (p3, p3[::-1]):
                 if i > t and j > p and q > r:
                     return ("irregular", 3)
     return ("regular", None)
@@ -429,17 +362,14 @@ def pattern_predicates_case7(word: TwoWord) -> tuple[str, int | None]:
 
 # The seven candidate basis words of the (5,2) case, with doubled letters
 # b = 5, c = 6 above the four single letters.
-FIVE_TWO_WORDS = tuple(
-    normalize(raw).monic()
-    for raw in (
-        [(1, 2), (3, 5), (4, 6), (5, 6)],
-        [(1, 3), (2, 5), (4, 6), (5, 6)],
-        [(2, 3), (1, 5), (4, 6), (5, 6)],
-        [(1, 4), (2, 5), (3, 6), (5, 6)],
-        [(1, 5), (2, 3), (4, 6), (5, 6)],
-        [(1, 6), (2, 3), (4, 5), (5, 6)],
-        [(1, 5), (2, 6), (3, 4), (5, 6)],
-    )
+FIVE_TWO_WORDS = (
+    (1, 2, 3, 5, 4, 6, 5, 6),
+    (1, 3, 2, 5, 4, 6, 5, 6),
+    (2, 3, 1, 5, 4, 6, 5, 6),
+    (1, 4, 2, 5, 3, 6, 5, 6),
+    (1, 5, 2, 3, 4, 6, 5, 6),
+    (1, 6, 2, 3, 4, 5, 5, 6),
+    (1, 5, 2, 6, 3, 4, 5, 6),
 )
 
 

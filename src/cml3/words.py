@@ -22,13 +22,13 @@ kernel's ``assoc_step`` steps it unchanged.
 
 Types that the nilpotency class bound forces to zero (``_class_bound_zero``:
 weight at least 3 on too few letters) are skipped before any enumeration;
-``_span_rank`` stays the unpruned engine.
+``_type_word_values`` stays the unpruned engine.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
 from . import _kernel, gf3
@@ -67,11 +67,14 @@ class TypeVector(Value):
 
     @classmethod
     def parse(cls, text: str) -> "TypeVector":
-        parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-        tv = cls.of(int(p) for p in parts)
+        parts = [p.strip() for p in text.split(",")]
+        tv = cls.of(int(p) if p else 0 for p in parts)
         if not tv.counts:
-            # no part, or every part 0: no letter at all
+            # every part empty or 0: no letter at all
             raise ValueError(f"empty type vector: {text!r}")
+        if "" in parts:
+            # parts count by position, so an empty one cannot be dropped
+            raise ValueError(f"empty part in type vector: {text!r}")
         return tv
 
     @property
@@ -202,13 +205,13 @@ def _eval_tree(tree, assign) -> dict:
     return _kernel.derive_terms(product)
 
 
-def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict]:
+def _type_word_values(counts: tuple[int, ...]) -> list[dict]:
     """A basis of the span of all canonical left-normed words of one type.
 
     Words share the fixed head letter 0 (lowest multiplicity under the
     canonical letter numbering); in-pair order is fixed ascending since a
     swap only flips the sign; equal-letter pairs evaluate to zero and are
-    skipped.  Letter ``i`` is realised by generator ``gens[i]``.
+    skipped.  Letter ``i`` is realised by generator ``i``.
 
     The enumeration walks the prefix tree one letter pair per layer.  After
     each layer the stepped states are grouped by their remaining letter
@@ -225,8 +228,7 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
 
     Inside the enumeration a monomial is a Python int with bit
     ``slot * W + der`` set for each symbol, where the slot of a generator
-    is its rank among the distinct values of ``gens`` and
-    ``W = npairs + 2``.  Bit order is then symbol order, so
+    is its index and ``W = npairs + 2``.  Bit order is then symbol order, so
     ``_kernel.assoc_step`` steps it with the bits of the two letters, the
     layout's ``last`` mask and a ``derivs`` memo shared by every step.  A
     state after k steps has derivation orders <= k <= npairs, so the top
@@ -238,15 +240,12 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
     tv = TypeVector(counts)
     mult = tv.multiplicities()
     nletters = len(mult)
-    for gen in gens:
-        pack_sym(gen)  # range check, as the kernel would make it
-    order = sorted(set(gens))
+    pack_sym(nletters - 1)  # range check, as the kernel would make it
     npairs = (tv.weight - 1) // 2
     width = npairs + 2
-    slot_bit = {gen: i * width for i, gen in enumerate(order)}
-    bits = [slot_bit[gen] for gen in gens]
+    bits = [i * width for i in range(nletters)]
     last_der = min(width - 2, MAX_DER)
-    last = sum(1 << (i * width + last_der) for i in range(len(order)))
+    last = sum(1 << (bit + last_der) for bit in bits)
     remaining = list(mult)
     remaining[0] -= 1
 
@@ -279,14 +278,15 @@ def _type_word_values(counts: tuple[int, ...], gens: Sequence[int]) -> list[dict
             for rem, vals in nxt.items()
         }
     return [
-        _from_masks(value, order, width)
+        _from_masks(value, range(nletters), width)
         for values in frontier.values()
         for value in values
     ]
 
 
 def _from_masks(terms: dict, order: Sequence[int], width: int) -> dict:
-    """The kernel's form of a compact-layout element (see _type_word_values)."""
+    """The kernel's form of a compact-layout element (see _type_word_values):
+    slot ``i`` holds generator ``order[i]``."""
     slot_mask = (1 << width) - 1
     shifts = [(i * width, pack_sym(gen)) for i, gen in enumerate(order)]
     out = {}
@@ -296,11 +296,6 @@ def _from_masks(terms: dict, order: Sequence[int], width: int) -> dict:
             key |= (m >> at & slot_mask) << sym
         out[key] = c
     return out
-
-
-def _span_rank(counts: tuple[int, ...], gens: Sequence[int]) -> int:
-    """h of a type: the size of the last basis ``_type_word_values`` keeps."""
-    return len(_type_word_values(counts, gens))
 
 
 def _class_bound_zero(tv: TypeVector) -> bool:
@@ -331,32 +326,23 @@ def _class_bound_zero(tv: TypeVector) -> bool:
     degree).  By induction from the generators 1 + x_i, the loop word is
     1 + (the 3-word value) + (higher degree), so the value is 0 when the
     loop word is 1.  The tests check every pruned type for n <= 8
-    against ``_span_rank``.
+    against ``_type_word_values``.
     """
     return tv.weight >= 3 and 2 * tv.letters < tv.weight + 3
 
 
 @lru_cache(maxsize=None)
 def _h_cached(counts: tuple[int, ...]) -> int:
-    return _span_rank(counts, tuple(range(TypeVector(counts).letters)))
+    # the size of the last basis the frontier keeps
+    return len(_type_word_values(counts))
 
 
-def h_of_type(
-    a: TypeVector | Iterable[int] | str,
-    assign: Callable[[int], int] | None = None,
-) -> int:
-    """Dimension of the span of all 3-words of one type.
-
-    The value depends only on the type, not on which generators realize the
-    letters; ``assign`` overrides the canonical letter -> generator map and
-    exists so tests can verify that independence.
-    """
+def h_of_type(a: TypeVector | Iterable[int] | str) -> int:
+    """Dimension of the span of all 3-words of one type."""
     tv = _as_type(a)
     if tv.weight % 2 == 0 or tv.letters == 0 or _class_bound_zero(tv):
         return 0
-    if assign is None:
-        return _h_cached(tv.counts)
-    return _span_rank(tv.counts, tuple(assign(i) for i in range(tv.letters)))
+    return _h_cached(tv.counts)
 
 
 def _as_type(a) -> TypeVector:

@@ -159,19 +159,18 @@ def test_h_matches_unpruned_rank():
         for assign in (identity, reverse):
             rows = [eval_word(w, assign).raw() for w in tv_words]
             assert gf3.rank_only(rows)[0] == h, (tv, assign)
-        assert h_of_type(tv, assign=reverse.__getitem__) == h, tv
     assert nwords == 7728 + 10368
 
 
 def test_span_rank_is_the_last_basis_size():
     # the last layer consumes every letter, so the frontier ends in one
     # group, already a row_basis basis or one nonzero value: its size is
-    # the rank, and _span_rank takes it with no final elimination
+    # the rank, and h_of_type takes it with no final elimination
     types = [tv for tv in candidate_types(7)
              if tv.weight % 2 and not words._class_bound_zero(tv)]
     assert len(types) == 18
     for tv in types:
-        values = words._type_word_values(tv.counts, range(tv.letters))
+        values = words._type_word_values(tv.counts)
         assert len(values) == gf3.rank_only(values)[0] == h_of_type(tv), tv
 
 
@@ -188,7 +187,7 @@ def test_class_bound_pruned_types_are_zero():
     pruned = [tv for tv in candidate_types(8) if words._class_bound_zero(tv)]
     assert len(pruned) == 313
     for tv in pruned:
-        assert words._span_rank(tv.counts, range(tv.letters)) == 0, tv
+        assert words._type_word_values(tv.counts) == [], tv
         assert h_of_type(tv) == 0
 
 

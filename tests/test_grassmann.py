@@ -2,28 +2,28 @@ import random
 
 import pytest
 
-from cml3.grassmann import GElement, GenSym, Monomial, derive, elem_mul, mono_mul
+from cml3._kernel import pack_sym
+from cml3.grassmann import GElement, _sort_key, derive, elem_mul, mono_str
 from helpers import random_element, random_homogeneous
 
 
 def M(*syms):
-    return Monomial.from_syms(syms)
+    """The monomial on the given (base, der) symbols, as an element."""
+    return GElement({sum(1 << pack_sym(*s) for s in syms): 1})
 
 
 def test_mono_mul_antisymmetry():
-    prod = mono_mul(M((0, 0)), M((1, 0)))
-    assert prod == (M((0, 0), (1, 0)), 1)
-    flipped = mono_mul(M((1, 0)), M((0, 0)))
-    assert flipped == (M((0, 0), (1, 0)), 2)
+    assert elem_mul(M((0, 0)), M((1, 0))) == M((0, 0), (1, 0))
+    assert elem_mul(M((1, 0)), M((0, 0))) == M((0, 0), (1, 0)).scale(2)
 
 
 def test_mono_mul_repeated_generator_is_zero():
-    assert mono_mul(M((0, 0)), M((0, 0))) is None
+    assert not elem_mul(M((0, 0)), M((0, 0)))
 
 
 def test_mono_mul_sign_normalization():
     # 0(1) wedge 0(0) sorts with one transposition
-    assert mono_mul(M((0, 1)), M((0, 0))) == (M((0, 0), (0, 1)), 2)
+    assert elem_mul(M((0, 1)), M((0, 0))) == M((0, 0), (0, 1)).scale(2)
 
 
 def test_unit_element():
@@ -114,17 +114,25 @@ def test_format_shapes():
 
 
 def test_gensym_ordering_and_str():
-    assert GenSym(0, 1) < GenSym(1, 0)
-    assert GenSym(1, 0) < GenSym(1, 1)
-    assert str(GenSym(2, 0)) == "2"
-    assert str(GenSym(2, 3)) == "2(3)"
+    # a symbol orders by (base, der), and a monomial degree-major, then by
+    # its symbols in order
+    assert pack_sym(0, 1) < pack_sym(1, 0) < pack_sym(1, 1)
+    keys = [1 << pack_sym(2, 0) | 1 << pack_sym(3, 0), 1 << pack_sym(2, 3),
+            0, 1 << pack_sym(0, 1) | 1 << pack_sym(2, 3), 1 << pack_sym(1, 0)]
+    assert [mono_str(k) for k in sorted(keys, key=_sort_key)] == [
+        "[1]", "[1(0)]", "[2(3)]", "[0(1).2(3)]", "[2.3]"]
 
 
 def test_monomial_validation():
-    with pytest.raises(ValueError):
-        Monomial.from_syms([(1, 0), (0, 0)])
-    with pytest.raises(ValueError):
-        Monomial.from_syms([(0, 0), (0, 0)])
+    for text in ("1*[0.0]", "1*[1(2).1(2)]", "1*[]", "1*[a]", "1*0.1"):
+        with pytest.raises(ValueError):
+            GElement.parse(text)
+    with pytest.raises(ValueError, match="generator index out of range"):
+        GElement.generator(-1)
+    with pytest.raises(ValueError, match="derivation order out of range"):
+        GElement.generator(0, 1 << 20)
+    with pytest.raises(ValueError, match="derivation order out of range"):
+        GElement.parse("1*[0(64)]")
 
 
 def test_parity_queries():

@@ -8,16 +8,15 @@ from cml3.twowords import (
     FIVE_TWO_WORDS,
     RELATION_SETS,
     SCHEMAS,
-    Pair,
     _span_rows_indexed,
     catalog_order,
     case_letters,
-    lex_compare,
     linearize,
     normalize,
     pattern_predicates_case7,
     regular_words,
     universe,
+    word_str,
 )
 from cml3.words import TypeVector, eval_word
 
@@ -25,10 +24,7 @@ IDENT = {i: i for i in range(16)}
 
 
 def W(text):
-    pairs = []
-    for tok in text.split("."):
-        pairs.append((int(tok[0]), int(tok[1])))
-    return normalize(pairs)
+    return tuple(int(c) for c in text if c != ".")
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +32,12 @@ def W(text):
 # ---------------------------------------------------------------------------
 
 def test_normalize_examples():
-    w = normalize([(2, 1), (3, 4)])
-    assert str(w) == "12.34" and w.sign == 2
-    w = normalize([(1, 2), (3, 4)])
-    assert str(w) == "12.34" and w.sign == 1
-    w = normalize([(4, 3), (2, 1)])
-    assert str(w) == "34.12" and w.sign == 1
+    w, sign = normalize([(2, 1), (3, 4)])
+    assert w == (1, 2, 3, 4) and word_str(w) == "12.34" and sign == 2
+    w, sign = normalize([(1, 2), (3, 4)])
+    assert word_str(w) == "12.34" and sign == 1
+    w, sign = normalize([(4, 3), (2, 1)])
+    assert word_str(w) == "34.12" and sign == 1
 
 
 def test_normalize_degenerate_pair():
@@ -49,26 +45,30 @@ def test_normalize_degenerate_pair():
         normalize([(1, 1)])
 
 
+def _position(text):
+    """Where a word of the four-letter or six-letter case sits in its
+    ascending universe."""
+    case = "5" if len(text) == 5 else "7"
+    return universe(TypeVector.parse(case)).index(W(text))
+
+
 def test_pair_order():
-    assert Pair(1, 2) < Pair(1, 3) < Pair(2, 3) < Pair(1, 4)
-    assert Pair(2, 3) < Pair(1, 4)  # high letter dominates
+    # the one-pair prefixes order 12 < 13 < 23 < 14: high letter dominates
+    assert (_position("12.34") < _position("13.24") < _position("23.14")
+            < _position("14.23"))
 
 
 def test_lex_compare_examples():
-    assert lex_compare(W("12.34.56"), W("13.24.56")) < 0
-    assert lex_compare(W("23.14.56"), W("14.23.56")) < 0
-    w = W("13.24.56")
-    assert lex_compare(w, w) == 0
-
-
-def test_lex_compare_length_mismatch():
-    with pytest.raises(ValueError):
-        lex_compare(W("12.34"), W("12.34.56"))
+    assert _position("12.34.56") < _position("13.24.56")
+    assert _position("23.14.56") < _position("14.23.56")
+    # the first pair is the most significant
+    assert _position("12.56.34") < _position("13.24.56")
 
 
 def test_multidigit_letter_format():
-    w = normalize([(10, 11)])
-    assert str(w) == "(10,11)"
+    w, _ = normalize([(10, 11)])
+    assert word_str(w) == "(10,11)"
+    assert word_str((1, 9, 9, 10)) == "19.(9,10)"
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_case_letters():
 
 
 def test_universe_case5():
-    words = {str(w) for w in universe(TypeVector.parse("5"))}
+    words = {word_str(w) for w in universe(TypeVector.parse("5"))}
     assert words == {"12.34", "13.24", "14.23", "23.14", "24.13", "34.12"}
 
 
@@ -93,21 +93,20 @@ def test_universe_case7_size_and_catalog():
     words = universe(TypeVector.parse("7"))
     assert len(words) == 90
     cat = catalog_order(words)
-    assert str(cat[0]) == "12.34.56"
-    assert str(cat[1]) == "13.24.56"
-    assert str(cat[2]) == "23.14.56"
-    assert str(cat[3]) == "14.23.56"
-    assert str(cat[15]) == "15.24.36"
-    assert str(cat[38]) == "24.16.35"
-    assert str(cat[54]) == "12.56.34"
-    assert str(cat[57]) == "16.25.34"
-    assert str(cat[89]) == "56.34.12"
+    assert word_str(cat[0]) == "12.34.56"
+    assert word_str(cat[1]) == "13.24.56"
+    assert word_str(cat[2]) == "23.14.56"
+    assert word_str(cat[3]) == "14.23.56"
+    assert word_str(cat[15]) == "15.24.36"
+    assert word_str(cat[38]) == "24.16.35"
+    assert word_str(cat[54]) == "12.56.34"
+    assert word_str(cat[57]) == "16.25.34"
+    assert word_str(cat[89]) == "56.34.12"
 
 
 def test_universe_excludes_degenerate_pairs():
     for w in universe(TypeVector.parse("5,2")):
-        for p in w.pairs:
-            assert p.lo != p.hi
+        assert all(lo < hi for lo, hi in zip(w[::2], w[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +127,14 @@ def test_exchange_relation_from_linearization():
     linear = linearize(base, "x", ("j", "p"))
     got = {}
     for coeff, pattern in linear:
-        w = normalize([("ijpq".index(a) + 1, "ijpq".index(b) + 1) for a, b in pattern])
-        key = w.monic()
-        got[key] = (got.get(key, 0) + coeff * w.sign) % 3
+        key, sign = normalize([("ijpq".index(a) + 1, "ijpq".index(b) + 1)
+                               for a, b in pattern])
+        got[key] = (got.get(key, 0) + coeff * sign) % 3
     expected = {}
     for coeff, pattern in SCHEMAS["X"].terms:
-        w = normalize([("ijpq".index(a) + 1, "ijpq".index(b) + 1) for a, b in pattern])
-        key = w.monic()
-        expected[key] = (expected.get(key, 0) + coeff * w.sign) % 3
+        key, sign = normalize([("ijpq".index(a) + 1, "ijpq".index(b) + 1)
+                               for a, b in pattern])
+        expected[key] = (expected.get(key, 0) + coeff * sign) % 3
     assert got == expected
 
 
@@ -233,11 +232,11 @@ def _oracle_signed_blocks(schema, assign):
 
 
 def _oracle_span_rows(case, relation_set, words):
-    from cml3.twowords import RELATION_SETS, _flat, _pairings
+    from cml3.twowords import RELATION_SETS, _pairings
 
     counts = case_letters(case)
     word_len = sum(counts.values()) // 2
-    index = {_flat(w.pairs): i for i, w in enumerate(words)}
+    index = {w: i for i, w in enumerate(words)}
     rows, seen, fill_cache = [], set(), {}
     for name in RELATION_SETS[relation_set]:
         schema = SCHEMAS[name]
@@ -320,14 +319,14 @@ def test_compiled_schemas_index_their_letters():
 
 def test_case5_regular():
     report = regular_words("5")
-    assert {str(w) for w in report.regular} == {"12.34", "13.24", "14.23", "23.14"}
-    assert {str(w) for w in report.irregular} == {"34.12", "24.13"}
+    assert {word_str(w) for w in report.regular} == {"12.34", "13.24", "14.23", "23.14"}
+    assert {word_str(w) for w in report.irregular} == {"34.12", "24.13"}
     assert report.bound == 4
 
 
 def test_case51_regular():
     report = regular_words("5,1")
-    assert {str(w) for w in report.regular} == {
+    assert {word_str(w) for w in report.regular} == {
         "12.35.45", "13.25.45", "14.25.35", "23.15.45", "15.23.45"
     }
     assert report.bound == 5
@@ -350,7 +349,7 @@ def test_case7_predicates_agree_with_span():
     regular = set(report.regular)
     for w in report.universe:
         verdict, step = pattern_predicates_case7(w)
-        assert (verdict == "regular") == (w in regular), str(w)
+        assert (verdict == "regular") == (w in regular), word_str(w)
         if verdict == "irregular":
             assert step in (1, 2, 3)
 

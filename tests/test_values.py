@@ -1,10 +1,10 @@
-"""The contract of the package's twelve immutable value classes.
+"""The contract of the package's seven immutable value classes.
 
 Each class compares and hashes by its fields, prints them in its ``repr``,
 rebuilds through ``copy`` and ``pickle``, checks its fields on
 construction and refuses assignment and deletion with ``AttributeError``.
-``GenSym`` orders by (base, der).  ``RelationSchema``'s derived fields are
-computed, never passed, and stay out of its ``repr`` and equality.
+``RelationSchema``'s derived fields are computed, never passed, and stay
+out of its ``repr`` and equality.
 """
 
 import copy
@@ -13,16 +13,16 @@ import pickle
 import pytest
 
 from cml3.gf3 import RankResult
-from cml3.grassmann import GElement, GenSym, Monomial
-from cml3.loop import LoopElement, MalbosPair
+from cml3.grassmann import GElement
+from cml3.loop import LoopElement
 from cml3.schemas import RelationSchema
-from cml3.twowords import Pair, RegularReport, TwoWord
+from cml3.twowords import RegularReport
 from cml3.words import DimReport, LeftNormedWord, TypeVector
 
 ONE = GElement.one()
 X0 = GElement.generator(0)
 X1 = GElement.generator(1)
-WORD = TwoWord((Pair(1, 2),))
+WORD = (1, 2)
 TERMS = ((1, (("i", "j"), ("p", "q"))), (2, (("i", "p"), ("j", "q"))))
 
 
@@ -44,21 +44,11 @@ def _cases():
                       "pivot_keys": ("a",)},
          {"rank": 1, "kernel_basis": ((1, 1),), "pivot_keys": ("a",)},
          "RankResult(rank=1, kernel_basis=((2, 1),), pivot_keys=('a',))"),
-        (GenSym, {"base": 2, "der": 3}, {"base": 3, "der": 2},
-         "GenSym(base=2, der=3)"),
-        (Monomial, {"key": 5}, {"key": 6}, "Monomial(key=5)"),
         (LoopElement, {"value": ONE + X0}, {"value": ONE + X1},
          "LoopElement(value=GElement(1*[1] + 1*[0]))"),
-        (MalbosPair, {"x1": GElement.zero(), "x2": X0 + X0},
-         {"x1": X0, "x2": X1},
-         "MalbosPair(x1=GElement(0), x2=GElement(2*[0]))"),
         (RelationSchema, {"name": "t", "terms": TERMS},
          {"name": "u", "terms": TERMS},
          f"RelationSchema(name='t', terms={TERMS!r})"),
-        (Pair, {"lo": 1, "hi": 2}, {"lo": 1, "hi": 3}, "Pair(lo=1, hi=2)"),
-        (TwoWord, {"pairs": (Pair(1, 2), Pair(3, 4)), "sign": 2},
-         {"pairs": (Pair(1, 2), Pair(3, 4)), "sign": 1},
-         "TwoWord(pairs=(Pair(lo=1, hi=2), Pair(lo=3, hi=4)), sign=2)"),
         (RegularReport, {"case": TypeVector((3,)), "relation_set": "X",
                          "universe": (WORD,), "irregular": (),
                          "regular": (WORD,), "bound": 1},
@@ -66,9 +56,7 @@ def _cases():
           "universe": (WORD,), "irregular": (WORD,), "regular": (),
           "bound": 0},
          "RegularReport(case=TypeVector(counts=(3,)), relation_set='X', "
-         "universe=(TwoWord(pairs=(Pair(lo=1, hi=2),), sign=1),), "
-         "irregular=(), regular=(TwoWord(pairs=(Pair(lo=1, hi=2),), "
-         "sign=1),), bound=1)"),
+         "universe=((1, 2),), irregular=(), regular=((1, 2),), bound=1)"),
     ]
 
 
@@ -80,8 +68,8 @@ def _case(name):
     return case
 
 
-def test_twelve_classes():
-    assert len(set(CLASSES)) == 12
+def test_seven_classes():
+    assert len(set(CLASSES)) == 7
 
 
 @pytest.mark.parametrize("name", CLASSES)
@@ -134,20 +122,6 @@ def test_copy_and_pickle_rebuild_an_equal_value(name):
 
 def test_defaults():
     assert LeftNormedWord(4).tail == ()
-    assert GenSym(1) == GenSym(1, 0)
-    assert Monomial().key == 0
-    assert TwoWord((Pair(1, 2),)).sign == 1
-
-
-def test_gensym_orders_by_base_then_der():
-    syms = [GenSym(b, d) for b in (2, 0, 1) for d in (1, 0)]
-    assert sorted(syms) == [GenSym(b, d) for b in (0, 1, 2) for d in (0, 1)]
-    a, b = GenSym(0, 1), GenSym(1, 0)
-    assert a < b and a <= b and b > a and b >= a
-    assert a <= GenSym(0, 1) and a >= GenSym(0, 1)
-    assert not (a < GenSym(0, 1))
-    with pytest.raises(TypeError):
-        a < (1, 0)  # noqa: B015
 
 
 def test_validation_errors():
@@ -157,19 +131,8 @@ def test_validation_errors():
         TypeVector((1, 0))
     with pytest.raises(ValueError, match="total does not match"):
         DimReport(1, ((TypeVector((1,)), 1, 1),), 2)
-    with pytest.raises(ValueError, match="generator index out of range"):
-        GenSym(-1)
-    with pytest.raises(ValueError, match="derivation order out of range"):
-        GenSym(0, 1 << 20)
     with pytest.raises(ValueError, match="constant term exactly 1"):
         LoopElement(X0)
-    with pytest.raises(ValueError, match="homogeneous odd"):
-        MalbosPair(ONE, X0)
-    with pytest.raises(ValueError, match="homogeneous odd"):
-        MalbosPair(X0, X0 * X1)
-    for lo, hi in ((2, 1), (1, 1)):
-        with pytest.raises(ValueError, match="lo < hi"):
-            Pair(lo, hi)
 
 
 def test_relation_schema_derives_its_position_fields():
