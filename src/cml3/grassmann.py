@@ -177,7 +177,11 @@ class GElement:
 
     @classmethod
     def parse(cls, text: str) -> "GElement":
-        """Parse the textual element format produced by ``str``."""
+        """Parse the textual element format produced by ``str``.
+
+        A monomial's symbols may be written in any order; an odd
+        permutation of its sorted symbols negates the term.
+        """
         text = text.strip()
         if text == "0":
             return cls.zero()
@@ -195,10 +199,15 @@ class GElement:
             inner = mono_text[1:-1].strip()
             key = 0
             if inner != "1":
+                # one transposition for each symbol read after a larger one
+                swaps = 0
                 for sym in map(_parse_sym, inner.split(".")):
                     if key >> sym & 1:
                         raise ValueError(f"repeated generator in {mono_text!r}")
+                    swaps += (key >> sym).bit_count()
                     key |= 1 << sym
+                if swaps & 1:
+                    coeff = -coeff
             c = (terms.get(key, 0) + coeff) % 3
             if c:
                 terms[key] = c

@@ -6,9 +6,10 @@ exponent 3 under the twisted product: squaring inverts, every associator
 cubes to the identity, and the Moufang identity holds exactly.  The
 verification suites below check those facts, the chain-symmetry identities
 of the word calculus, and the alternative-model loop on pairs of odd
-Grassmann elements.  A loop element is a ``LoopElement``; a pair-model
-element is a plain tuple ``(x1, x2)`` of odd term dicts, which
-``malbos_mul`` multiplies.
+Grassmann elements.  A loop element is a ``LoopElement``.  A pair-model
+element is a tuple ``(x1, x2)`` of odd components: ``malbos_mul`` takes
+term dicts, and ``malbos_verify`` samples and multiplies GF(3) bit-planes
+``(ones, twos)`` over the 64 monomials on at most six generators.
 
 All checks run on exact arithmetic: each reported pass is a proof for that
 instantiation, and failures carry the instantiation as a witness.
@@ -23,10 +24,10 @@ the chain prefixes it has stepped.  One call of ``verify_identities``
 packs each generator's symbol once, keeps one ``derivs`` memo of Leibniz
 summands for every step, draws the tuples once per arity, makes each inner
 associator once and reads the relation schemas, compiled to letter
-positions, from ``cml3.schemas``.  The identity and pair-model checks add
-and compare raw term dicts, with no ``GElement`` or ``Word3`` per
-instantiation; each step and each wedge still goes through
-``cml3._kernel``.  Call ``lmul.cache_clear()`` before patching a kernel.
+positions, from ``cml3.schemas``.  The identity checks add and compare
+raw term dicts, with no ``GElement`` or ``Word3`` per instantiation;
+each step and each wedge still goes through ``cml3._kernel``.  Call
+``lmul.cache_clear()`` before patching a kernel.
 """
 
 from __future__ import annotations
@@ -568,43 +569,114 @@ def _malbos_half(x: dict, y: dict, u: dict, v: dict) -> dict:
     return _odd(out)
 
 
-def _malbos_product(p: tuple, q: tuple) -> tuple:
-    """The pair product on term dicts, componentwise twisted sum over the
-    plain exterior product:
+def malbos_mul(p: tuple, q: tuple) -> tuple:
+    """The pair product of two pairs (x1, x2) of odd term dicts, the
+    componentwise twisted sum over the plain exterior product:
 
         (x1, x2)(y1, y2) = (x1 + y1 + (x1 ^ y1) ^ (x2 - y2),
                             x2 + y2 + (x2 ^ y2) ^ (y1 - x1)).
-    """
-    (x1, x2), (y1, y2) = p, q
-    return _malbos_half(x1, y1, x2, y2), _malbos_half(x2, y2, y1, x1)
-
-
-def malbos_mul(p: tuple, q: tuple) -> tuple:
-    """The pair product of two pairs (x1, x2) of odd term dicts.
 
     Raises ``ValueError`` unless every component is homogeneous odd.
     """
     for x in p + q:
         _odd(x)
-    return _malbos_product(p, q)
-
-
-def _sample_odd(rng: random.Random, n: int) -> dict:
-    """Term dict of a random odd element of the plain Grassmann algebra on
-    underived generators 0..n-1."""
-    out: dict = {}
-    for _ in range(rng.randrange(1, 4)):
-        size = rng.choice((1, 3)) if n >= 3 else 1
-        if size > n:
-            size = 1
-        picks = sorted(rng.sample(range(n), size))
-        key = sum(1 << pack_sym(g) for g in picks)
-        _add_into(out, {key: rng.choice((1, 2))})
-    return out
+    (x1, x2), (y1, y2) = p, q
+    return _malbos_half(x1, y1, x2, y2), _malbos_half(x2, y2, y1, x1)
 
 
 # The pair model is sampled on at most this many generators.
 MALBOS_MAX_N = 6
+
+# ``malbos_verify`` holds a component as two bit-planes ``(ones, twos)``,
+# the row format of ``cml3.gf3``: bit i of a plane stands for the monomial
+# whose generators are the set bits of i, generator g at bit g, as in the
+# kernel's symbol order.  For each monomial m, ``free`` holds the monomials
+# disjoint from m and ``neg`` those whose wedge after m takes a sign: one
+# transposition for each generator of m above one of theirs.  Both fold,
+# over the generators g of m, a mask of the monomials without g (AND) and
+# one of those with an odd number of generators below g (XOR).
+_MONOMIALS = range(1 << MALBOS_MAX_N)
+_ALL = (1 << len(_MONOMIALS)) - 1
+_WITHOUT = [sum(1 << i for i in _MONOMIALS if not i >> g & 1)
+            for g in range(MALBOS_MAX_N)]
+_ODD_BELOW = [sum(1 << i for i in _MONOMIALS
+                  if (i & ((1 << g) - 1)).bit_count() & 1)
+              for g in range(MALBOS_MAX_N)]
+_EVEN = sum(1 << i for i in _MONOMIALS if not i.bit_count() & 1)
+
+
+def _plane_entry(m: int) -> tuple:
+    free, neg = _ALL, 0
+    for g in range(MALBOS_MAX_N):
+        if m >> g & 1:
+            free &= _WITHOUT[g]
+            neg ^= _ODD_BELOW[g]
+    return m, free, neg
+
+
+# (m, free, neg) keyed by the plane bit of m
+_PLANE_TABLE = {1 << m: _plane_entry(m) for m in _MONOMIALS}
+
+
+def _plane_wedge(x1: int, x2: int, y1: int, y2: int) -> tuple:
+    """The planes of x ^ y: for each term m of x, the terms of y disjoint
+    from m, swapped on the signed ones, shifted onto m | b, and swapped
+    again when x holds 2 at m."""
+    r1 = r2 = 0
+    rest = x1 | x2
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        m, free, neg = _PLANE_TABLE[low]
+        a1 = y1 & free
+        a2 = y2 & free
+        if not (a1 | a2):
+            continue
+        t = (a1 ^ a2) & neg
+        if x2 & low:
+            a1, a2 = (a2 ^ t) << m, (a1 ^ t) << m
+        else:
+            a1, a2 = (a1 ^ t) << m, (a2 ^ t) << m
+        t = (r1 | a2) ^ (r2 | a1)
+        r1, r2 = (r2 | a2) ^ t, (r1 | a1) ^ t
+    return r1, r2
+
+
+def _plane_half(x: tuple, y: tuple, u: tuple, v: tuple) -> tuple:
+    """x + y + (x ^ y) ^ (u - v) on planes, checked odd."""
+    (x1, x2), (y1, y2) = x, y
+    t = (x1 | y2) ^ (x2 | y1)
+    o1, o2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+    w1, w2 = _plane_wedge(x1, x2, y1, y2)
+    if w1 | w2:  # else the wedge with u - v is 0 too
+        # u - v adds v with its planes swapped
+        (u1, u2), (v2, v1) = u, v
+        t = (u1 | v2) ^ (u2 | v1)
+        w1, w2 = _plane_wedge(w1, w2, (u2 | v2) ^ t, (u1 | v1) ^ t)
+        t = (o1 | w2) ^ (o2 | w1)
+        o1, o2 = (o2 | w2) ^ t, (o1 | w1) ^ t
+    if (o1 | o2) & _EVEN:
+        raise ValueError("components must be homogeneous odd")
+    return o1, o2
+
+
+def _plane_mul(p: tuple, q: tuple) -> tuple:
+    """The pair product of ``malbos_mul`` on pairs of plane components."""
+    (x1, x2), (y1, y2) = p, q
+    return _plane_half(x1, y1, x2, y2), _plane_half(x2, y2, y1, x1)
+
+
+def _sample_odd(rng: random.Random, n: int) -> tuple:
+    """Planes of a random odd element of the plain Grassmann algebra on
+    underived generators 0..n-1, for n <= MALBOS_MAX_N."""
+    ones = twos = 0
+    for _ in range(rng.randrange(1, 4)):
+        size = rng.choice((1, 3)) if n >= 3 else 1
+        bit = 1 << sum(1 << g for g in rng.sample(range(n), size))
+        b1, b2 = (bit, 0) if rng.choice((1, 2)) == 1 else (0, bit)
+        t = (ones | b2) ^ (twos | b1)
+        ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+    return ones, twos
 
 
 def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
@@ -613,7 +685,7 @@ def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     Runs on min(n, MALBOS_MAX_N) generators.  Moufang is checked on
     consecutive triples of the identity and the samples, so ``samples``
     below 2 would check none; that raises ``ValueError``.  Pairs are
-    multiplied as term dicts by ``_malbos_product``.
+    sampled and multiplied as plane components by ``_plane_mul``.
     """
     _require_generators(n)
     if samples < 2:
@@ -621,13 +693,12 @@ def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
             f"the malbos suite needs samples >= 2, got {samples}")
     n = min(n, MALBOS_MAX_N)
     rng = random.Random(seed)
-    one = ({}, {})
+    one = ((0, 0), (0, 0))
     pairs = [one]
     pairs.extend(
-        (_odd(_sample_odd(rng, n)), _odd(_sample_odd(rng, n)))
-        for _ in range(samples)
+        (_sample_odd(rng, n), _sample_odd(rng, n)) for _ in range(samples)
     )
-    mul = _malbos_product
+    mul = _plane_mul
     report = []
 
     failures = []

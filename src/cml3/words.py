@@ -278,17 +278,17 @@ def _type_word_values(counts: tuple[int, ...]) -> list[dict]:
             for rem, vals in nxt.items()
         }
     return [
-        _from_masks(value, range(nletters), width)
+        _from_masks(value, nletters, width)
         for values in frontier.values()
         for value in values
     ]
 
 
-def _from_masks(terms: dict, order: Sequence[int], width: int) -> dict:
+def _from_masks(terms: dict, nletters: int, width: int) -> dict:
     """The kernel's form of a compact-layout element (see _type_word_values):
-    slot ``i`` holds generator ``order[i]``."""
+    slot ``i`` of ``nletters`` holds generator ``i``."""
     slot_mask = (1 << width) - 1
-    shifts = [(i * width, pack_sym(gen)) for i, gen in enumerate(order)]
+    shifts = [(i * width, pack_sym(i)) for i in range(nletters)]
     out = {}
     for m, c in terms.items():
         key = 0

@@ -2,6 +2,7 @@
 
 import random
 
+from cml3._kernel import pack_sym, positions, sym_base
 from cml3.grassmann import GElement, elem_mul
 
 
@@ -32,3 +33,44 @@ def random_homogeneous(rng: random.Random, parity, nbases=5, maxder=2):
         if mono:
             out = out + mono.scale(rng.choice((1, 2)))
     return out
+
+
+def dict_sample_odd(rng: random.Random, n: int) -> dict:
+    """Term dict of a random odd element on underived generators 0..n-1,
+    as ``cml3.loop._sample_odd`` drew it on term dicts: its reference."""
+    out: dict = {}
+    for _ in range(rng.randrange(1, 4)):
+        size = rng.choice((1, 3)) if n >= 3 else 1
+        if size > n:
+            size = 1
+        picks = sorted(rng.sample(range(n), size))
+        key = sum(1 << pack_sym(g) for g in picks)
+        c = (out.get(key, 0) + rng.choice((1, 2))) % 3
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
+def plane_terms(plane) -> dict:
+    """The term dict of a pair-model component ``(ones, twos)``: bit i of
+    a plane is the monomial on the generators at the set bits of i."""
+    out = {}
+    for coeff, bits in zip((1, 2), plane):
+        for i in range(bits.bit_length()):
+            if bits >> i & 1:
+                key = sum(1 << pack_sym(g) for g in range(i.bit_length())
+                          if i >> g & 1)
+                out[key] = coeff
+    return out
+
+
+def terms_plane(terms: dict) -> tuple:
+    """The planes of a term dict on underived generators, inverse to
+    ``plane_terms``."""
+    planes = [0, 0]
+    for key, coeff in terms.items():
+        i = sum(1 << sym_base(s) for s in positions(key))
+        planes[coeff - 1] |= 1 << i
+    return tuple(planes)

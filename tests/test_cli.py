@@ -542,6 +542,10 @@ def test_golden_files():
         ("h_5_2.txt", ("h", "--type", "5,2")),
         ("tah_dump.txt", ("tah", "--dump")),
         ("regular_51.csv", ("regular", "--case", "5,1", "--csv")),
+        ("malbos_n4_seed3.txt", ("verify", "--suite", "malbos", "--n", "4",
+                                 "--samples", "20", "--seed", "3")),
+        ("malbos_n1.csv", ("verify", "--suite", "malbos", "--n", "1",
+                           "--samples", "2", "--csv")),
     ):
         proc = run_cli(*args, "--expect", os.path.join(GOLDEN, name))
         assert proc.returncode == 0, name
@@ -555,6 +559,9 @@ def test_golden_files():
                                       "--seed", "5")),
         ("malbos_n6_seed5.json", ("verify", "--suite", "malbos", "--n", "6",
                                   "--samples", "3000", "--seed", "5")),
+        # n 7 clamps to 6
+        ("malbos_n7_seed1.json", ("verify", "--suite", "malbos", "--n", "7",
+                                  "--samples", "3", "--seed", "1")),
     ):
         proc = run_cli(*args, "--json", "--expect", os.path.join(GOLDEN, name))
         assert proc.returncode == 0, name
@@ -599,8 +606,9 @@ def test_tracer_hooks_still_apply(tmp_path):
          {"cli.handler", "words.h", "kernel.assoc_step"}),
         (("verify", "--suite", "identities", "--n", "4", "--samples", "5",
           "--json"), {"cli.handler", "kernel.assoc_step"}),
+        # the pair model multiplies bit-planes, with no kernel op
         (("verify", "--suite", "malbos", "--n", "6", "--samples", "5",
-          "--json"), {"cli.handler", "kernel.wedge_terms"}),
+          "--json"), {"cli.handler"}),
         (("regular", "--case", "5,2", "--json"),
          {"cli.handler", "twowords", "gf3@twowords", "gf3@gf3"}),
     ):
@@ -614,4 +622,7 @@ def test_tracer_hooks_still_apply(tmp_path):
         header, columns = tracer.read_spans(str(spans))
         names = header["names"]
         assert {"cli.handler", "words.h"} <= set(names)
-        assert recorded <= {names[i] for i in columns[0]}, args
+        seen = {names[i] for i in columns[0]}
+        assert recorded <= seen, args
+        assert "malbos" not in args or not any(
+            name.startswith("kernel.") for name in seen)

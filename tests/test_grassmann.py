@@ -105,6 +105,16 @@ def test_format_and_parse_roundtrip():
     assert GElement.parse("2*[0(0).1(2)]") == GElement.parse("2*[0.1(2)]")
 
 
+def test_parse_signs_unsorted_symbols():
+    # the exterior product of the symbols as written, not their sorted set
+    for text, want in (("1*[1.0]", "2*[0.1]"), ("[2.0.1]", "1*[0.1.2]"),
+                       ("[1(1).0]", "2*[0.1(1)]"), ("2*[2.1.0]", "1*[0.1.2]"),
+                       ("[1.0] + [0.1]", "0")):
+        assert str(GElement.parse(text)) == want, text
+    g = GElement.generator
+    assert GElement.parse("[2.0(1).1]") == elem_mul(elem_mul(g(2), g(0, 1)), g(1))
+
+
 def test_format_shapes():
     assert str(GElement.zero()) == "0"
     assert str(GElement.one()) == "1*[1]"

@@ -1,12 +1,18 @@
 import random
 
 import pytest
-from helpers import random_homogeneous
+from helpers import (
+    dict_sample_odd,
+    plane_terms,
+    random_homogeneous,
+    terms_plane,
+)
 
 from cml3 import _kernel, loop
 from cml3.grassmann import GElement, elem_mul
 from cml3.loop import (
     LOOP_ONE,
+    MALBOS_MAX_N,
     LoopElement,
     NonInvertible,
     lassoc,
@@ -366,11 +372,9 @@ def _random_pair(rng, sample):
 
 def test_malbos_identity_and_commutativity():
     rng = random.Random(5)
-    from cml3.loop import _sample_odd
-
     for _ in range(20):
-        p = _random_pair(rng, lambda r: _sample_odd(r, 5))
-        q = _random_pair(rng, lambda r: _sample_odd(r, 5))
+        p = _random_pair(rng, lambda r: dict_sample_odd(r, 5))
+        q = _random_pair(rng, lambda r: dict_sample_odd(r, 5))
         assert malbos_mul(p, MALBOS_ONE) == p
         assert malbos_mul(p, q) == malbos_mul(q, p)
         cube = malbos_mul(malbos_mul(p, p), p)
@@ -406,6 +410,10 @@ def test_malbos_rejects_even_components():
                  ((GElement.one().raw(), {}), MALBOS_ONE)):
         with pytest.raises(ValueError, match="homogeneous odd"):
             malbos_mul(p, q)
+        # the suite's product checks its output, so an even input shows
+        with pytest.raises(ValueError, match="homogeneous odd"):
+            loop._plane_mul(tuple(map(terms_plane, p)),
+                            tuple(map(terms_plane, q)))
 
 
 def test_malbos_verify_report():
@@ -413,18 +421,75 @@ def test_malbos_verify_report():
     assert report_passed(report)
 
 
+PLANE_ONE = ((0, 0), (0, 0))
+
+
+def _pair_terms(p):
+    return tuple(plane_terms(x) for x in p)
+
+
+def test_plane_sampler_draws_the_dict_samplers_elements():
+    # the same elements from the same stream, so a seed checks the same pairs
+    for n in range(1, MALBOS_MAX_N + 1):
+        for seed in range(150):
+            planes, dicts = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                x = loop._sample_odd(planes, n)
+                assert plane_terms(x) == dict_sample_odd(dicts, n)
+                assert terms_plane(plane_terms(x)) == x
+            assert planes.random() == dicts.random()
+
+
+def test_plane_products_match_malbos_mul():
+    rng = random.Random(8)
+    mul = loop._plane_mul
+    for n in range(1, MALBOS_MAX_N + 1):
+        pairs = [PLANE_ONE] + [
+            (loop._sample_odd(rng, n), loop._sample_odd(rng, n))
+            for _ in range(40)
+        ]
+        for i, p in enumerate(pairs):
+            q, r = pairs[i - 1], rng.choice(pairs)
+            tp, tq, tr = map(_pair_terms, (p, q, r))
+            assert _pair_terms(mul(p, q)) == malbos_mul(tp, tq)
+            assert _pair_terms(mul(p, PLANE_ONE)) == malbos_mul(tp, MALBOS_ONE)
+            assert _pair_terms(mul(PLANE_ONE, p)) == malbos_mul(MALBOS_ONE, tp)
+            # products of products: the Moufang sides as the suite builds them
+            assert _pair_terms(mul(mul(p, q), mul(r, p))) == malbos_mul(
+                malbos_mul(tp, tq), malbos_mul(tr, tp))
+            assert _pair_terms(mul(mul(p, mul(q, r)), p)) == malbos_mul(
+                malbos_mul(tp, malbos_mul(tq, tr)), tp)
+
+
+def test_plane_table_matches_the_exterior_product():
+    # entry m against the wedge of one-term elements: which monomials
+    # survive after m, and which take a sign
+    for low, (m, free, neg) in loop._PLANE_TABLE.items():
+        assert low == 1 << m
+        left = plane_terms((low, 0))
+        for b in range(64):
+            got = elem_mul(GElement(left), GElement(plane_terms((1 << b, 0))))
+            assert bool(got) == bool(free >> b & 1)
+            if got:
+                assert got.raw() == plane_terms(
+                    (0, 1 << (m | b)) if neg >> b & 1 else (1 << (m | b), 0))
+
+
 def test_malbos_fails_on_a_corrupted_wedge(monkeypatch):
-    monkeypatch.setattr(_kernel, "wedge_terms",
-                        _flip_first_coefficient(_kernel.wedge_terms))
-    report = malbos_verify(6, 20, 0)
-    assert not report_passed(report)
-    assert all("witness" in e for e in report if not e["pass"])
+    # one bit of one plane-table mask: generator 0 times generator 1
+    # dropped (free), or with its sign flipped (neg)
+    low = 1 << 0b1
+    m, free, neg = loop._PLANE_TABLE[low]
+    for entry in ((m, free ^ 1 << 0b10, neg), (m, free, neg ^ 1 << 0b10)):
+        monkeypatch.setitem(loop._PLANE_TABLE, low, entry)
+        report = malbos_verify(6, 20, 0)
+        assert not report_passed(report)
+        assert all("witness" in e for e in report if not e["pass"])
 
 
 def test_malbos_rejects_an_even_product(monkeypatch):
-    # the monomial 0.1 of degree 2
-    even = {1 << _kernel.pack_sym(0) | 1 << _kernel.pack_sym(1): 1}
-    monkeypatch.setattr(_kernel, "wedge_terms", lambda x, y: dict(even))
+    # every wedge the monomial 0.1 of degree 2
+    monkeypatch.setattr(loop, "_plane_wedge", lambda *planes: (1 << 0b11, 0))
     with pytest.raises(ValueError, match="homogeneous odd"):
         malbos_verify(6, 20, 0)
 
