@@ -1,11 +1,17 @@
 """The kernel ops: exterior-monomial arithmetic over GF(3) on int bitmasks.
 
-A monomial is a Python int with bit ``base << 6 | der`` set for each of
+A monomial is a Python int with bit ``base << 4 | der`` set for each of
 its symbols, generator ``base`` differentiated ``der`` times.  Bit order
-is symbol order, so the unit is 0 and the degree is ``bit_count()``.  An
-element is a dict mapping monomials to coefficients in {1, 2}; absent
-keys have coefficient 0.  This is the bitmap basis-blade method of Dorst,
-Fontijne & Mann, *Geometric Algebra for Computer Science* (2007),
+is symbol order, so the unit is 0 and the degree is ``bit_count()``.  A
+symbol is 16 bits wide: 4 for the order, up to ``MAX_DER`` = 15, and 12
+for the generator, up to ``MAX_BASE`` = 4095.  The loop, identity and
+witness suites reach order 4, and a word of the span frontier order
+(weight - 1) / 2, so 15 covers every type on up to 17 generators
+(``words.check_depth`` rejects deeper runs).  Narrow order fields keep
+keys short: the loop suites' products reach generator 6 at order 4, bit
+100.  An element is a dict mapping monomials to coefficients in {1, 2};
+absent keys have coefficient 0.  This is the bitmap basis-blade method of
+Dorst, Fontijne & Mann, *Geometric Algebra for Computer Science* (2007),
 specialised to an exterior algebra over GF(3):
 
 - two monomials wedge to 0 when they share a bit (AND) and to their OR
@@ -14,9 +20,8 @@ specialised to an exterior algebra over GF(3):
 - the even derivation ``d`` takes a monomial to the sum of ``m + low``
   over its set bits ``low`` whose successor bit is clear: the Leibniz
   summand that moves one symbol up one order, with no sign, as the
-  successor directly follows it.  A bit in ``last`` (the top order,
-  ``MAX_DER``) raises ``OverflowError`` instead of spilling into the next
-  generator.
+  successor directly follows it.  A bit at the top order, ``MAX_DER``,
+  raises ``OverflowError`` instead of spilling into the next generator.
 
 Twisted products of more than ``JOIN_MIN_PAIRS`` monomial pairs go to
 the disjoint-pair join (``cml3._join``) instead, which returns the same
@@ -78,7 +83,7 @@ Callers look the ops up on this module at call time, so a tracer can wrap
 them here.
 """
 
-DER_BITS = 6
+DER_BITS = 4
 DER_MASK = (1 << DER_BITS) - 1
 MAX_DER = DER_MASK
 MAX_BASE = (1 << (16 - DER_BITS)) - 1
@@ -97,7 +102,7 @@ _join = None
 _maskcore = None
 _join_pairs = 0
 
-# bit ``base << 6 | MAX_DER`` of every generator: 8 KB, and ``low & _LAST``
+# bit ``base << 4 | MAX_DER`` of every generator: 8 KB, and ``low & _LAST``
 # costs only the length of ``low``
 _LAST = (((1 << ((MAX_BASE + 1) << DER_BITS)) - 1)
          // ((1 << (1 << DER_BITS)) - 1) << MAX_DER)
@@ -130,13 +135,13 @@ def positions(m: int) -> list:
     return out
 
 
-def _summands(m: int, last: int) -> list:
+def _summands(m: int) -> list:
     """The monomials of ``d(m)``, each with coefficient 1."""
     out = []
     rest = m
     while rest:
         low = rest & -rest
-        if low & last:
+        if low & _LAST:
             raise OverflowError("derivation order overflow")
         if not m & low << 1:
             out.append(m + low)
@@ -183,7 +188,7 @@ def derive_terms(x: dict) -> dict:
     """Even derivation: bump one derivation order per Leibniz summand."""
     out = {}
     for m, c in x.items():
-        for s in _summands(m, _LAST):
+        for s in _summands(m):
             v = (out.get(s, 0) + c) % 3
             if v:
                 out[s] = v
@@ -192,14 +197,13 @@ def derive_terms(x: dict) -> dict:
     return out
 
 
-def assoc_step(terms: dict, sa: int, sb: int, last: int = _LAST,
+def assoc_step(terms: dict, sa: int, sb: int,
                derivs: dict | None = None) -> dict:
     """One left-normed associator step on an odd element: d(v ^ a ^ b).
 
-    ``sa`` and ``sb`` are the bits of the two letters, which are their
-    symbols in this module's layout.  A caller with its own layout passes
-    its ``last`` mask, and may pass a ``derivs`` dict that keeps the
-    summands of each monomial across calls.
+    ``sa`` and ``sb`` are the symbols of the two letters.  A caller may
+    pass a ``derivs`` dict that keeps the summands of each monomial
+    across calls.
     """
     out = {}
     if derivs is None:
@@ -218,7 +222,7 @@ def assoc_step(terms: dict, sa: int, sb: int, last: int = _LAST,
             c = 3 - c
         summands = derivs.get(m2)
         if summands is None:
-            summands = derivs[m2] = _summands(m2, last)
+            summands = derivs[m2] = _summands(m2)
         for s in summands:
             v = (out.get(s, 0) + c) % 3
             if v:

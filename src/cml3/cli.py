@@ -29,8 +29,10 @@ def _add_common(p, *, samples=False, unsafe=False):
         p.add_argument("--unsafe-n", action="store_true",
                        help="lift the n <= 7 cap (slow, unverified)")
     if samples:
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+        # no default here, so that main can reject them where they do
+        # nothing; it fills in 100 and 0
+        p.add_argument("--samples", type=int)
+        p.add_argument("--seed", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,8 +103,16 @@ def _public(args) -> dict:
 
 
 def _check_range(scope, args) -> None:
-    """Reject a run past the verified range, or warn that it is unverified."""
-    if words.past_verified_range(scope, args.unsafe_n):
+    """Reject a run past the verified range, or warn that it is unverified.
+
+    Before the warning, a word-span run (any command but verify, whose
+    suites' depth does not grow with n) is rejected if its words would
+    pass the top derivation order.
+    """
+    past = words.past_verified_range(scope, args.unsafe_n)
+    if args.command != "verify":
+        words.check_depth(scope)
+    if past:
         print(f"cml3: past the verified range (n <= {words.MAX_SAFE_N}); "
               "the result is unverified", file=sys.stderr)
 
@@ -296,6 +306,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "mode", None) == "algebra" and (
+            args.samples is not None or args.seed is not None):
+        _error_exit("--samples and --seed apply to --mode loop only")
+    for key, default in (("samples", 100), ("seed", 0)):
+        if getattr(args, key, default) is None:
+            setattr(args, key, default)
     if args.json and args.csv:
         _error_exit("--json and --csv are mutually exclusive")
     if getattr(args, "samples", 0) < 0:

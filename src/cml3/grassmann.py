@@ -6,7 +6,7 @@ even derivation that shifts ``base(der)`` to ``base(der+1)`` and obeys the
 Leibniz rule with no sign.  Even-length monomials span the even part, odd
 lengths the odd part.
 
-A monomial is one int, the kernel's key: bit ``base << 6 | der`` is set
+A monomial is one int, the kernel's key: bit ``base << 4 | der`` is set
 for each of its symbols, so bit order is symbol order and the unit is 0.
 ``GElement`` maps these keys to coefficients, and ``mono_str`` prints one
 key, as ``str`` and ``parse`` write and read it.  Terms print degree-major,

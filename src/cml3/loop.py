@@ -230,9 +230,8 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     seen_elements = {}
     for label, triple in labeled:
         for u in triple:
-            seen_elements.setdefault(u.value, label)
-    elements = [(label, LoopElement(value))
-                for value, label in seen_elements.items()]
+            seen_elements.setdefault(u, label)
+    elements = [(label, u) for u, label in seen_elements.items()]
 
     def cubes_to_one(u):
         return lmul(lmul(u, u), u).is_one()
@@ -333,11 +332,10 @@ class _ChainMemo:
             stored = prefixes.get(node)
             if stored is None:
                 stored = prefixes[node] = value and _kernel.assoc_step(
-                    value, sa, sb, _kernel._LAST, derivs)
+                    value, sa, sb, derivs)
             value = stored
         a, b = pairs[-1]
-        return value and _kernel.assoc_step(
-            value, syms[a], syms[b], _kernel._LAST, derivs)
+        return value and _kernel.assoc_step(value, syms[a], syms[b], derivs)
 
 
 def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
@@ -699,35 +697,29 @@ def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         (_sample_odd(rng, n), _sample_odd(rng, n)) for _ in range(samples)
     )
     mul = _plane_mul
-    report = []
+    couples = [(f"pair({i},{i + 1})", pairs[i:i + 2])
+               for i in range(0, len(pairs) - 1, 2)]
+    triples = [(f"triple({i})", pairs[i:i + 3])
+               for i in range(0, len(pairs) - 2, 3)]
+    singles = [(f"pair({i})", p) for i, p in enumerate(pairs)]
 
-    failures = []
-    for i in range(0, len(pairs) - 1, 2):
-        p, q = pairs[i], pairs[i + 1]
-        if mul(p, q) != mul(q, p):
-            failures.append(f"pair({i},{i + 1})")
-    report.append(_entry("malbos_commutativity", max(0, (len(pairs) - 1) // 2), failures))
+    def commutes(t):
+        p, q = t
+        return mul(p, q) == mul(q, p)
 
-    failures = []
-    for i in range(0, len(pairs) - 2, 3):
-        p, q, r = pairs[i], pairs[i + 1], pairs[i + 2]
-        left = mul(mul(p, q), mul(r, p))
-        right = mul(mul(p, mul(q, r)), p)
-        if left != right:
-            failures.append(f"triple({i})")
-    # reports (pairs-2)//3 of ceil((pairs-2)/3) triples, as perfbench/oracle.py pins
-    report.append(_entry("malbos_moufang", max(0, (len(pairs) - 2) // 3), failures))
+    def moufang(t):
+        p, q, r = t
+        return mul(mul(p, q), mul(r, p)) == mul(mul(p, mul(q, r)), p)
 
-    failures = []
-    for i, p in enumerate(pairs):
-        if mul(mul(p, p), p) != one:
-            failures.append(f"pair({i})")
-    report.append(_entry("malbos_exponent3", len(pairs), failures))
-
-    failures = []
-    for i, p in enumerate(pairs[:10]):
-        if mul(p, one) != p:
-            failures.append(f"pair({i})")
-    report.append(_entry("malbos_identity_element", min(10, len(pairs)), failures))
-
-    return report
+    return [
+        _entry("malbos_commutativity", max(0, (len(pairs) - 1) // 2),
+               _failures_over(couples, commutes)),
+        # reports (pairs-2)//3 of ceil((pairs-2)/3) triples, as
+        # perfbench/oracle.py pins
+        _entry("malbos_moufang", max(0, (len(pairs) - 2) // 3),
+               _failures_over(triples, moufang)),
+        _entry("malbos_exponent3", len(pairs),
+               _failures_over(singles, lambda p: mul(mul(p, p), p) == one)),
+        _entry("malbos_identity_element", min(10, len(pairs)),
+               _failures_over(singles[:10], lambda p: mul(p, one) == p)),
+    ]

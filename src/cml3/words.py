@@ -13,12 +13,11 @@ taking the rank over GF(3).  Enumeration walks a prefix tree one letter
 pair per layer.  After each layer the states that share a remaining letter
 multiset are replaced by an echelon basis of their span: every completion
 of such a state applies the same GF(3)-linear maps, so the final span does
-not change (the proof is in ``_type_word_values``).  Inside the walk a
-monomial keeps the kernel's int form but a compact bit layout, at
-``slot * W + der``: generator slots go in ascending generator order, and
-each is ``W`` bits wide, room for every derivation order a word of the
-type can reach plus a guard bit.  Bit order is still symbol order, so the
-kernel's ``assoc_step`` steps it unchanged.
+not change (the proof is in ``_type_word_values``).  The walk steps the
+kernel's int monomials, letter ``i`` realised by generator ``i``.  A word
+of weight w takes (w - 1) / 2 steps, each raising one derivation order;
+``check_depth`` rejects a run that would need more than the kernel's
+``MAX_DER``.
 
 Types that the nilpotency class bound forces to zero (``_class_bound_zero``:
 weight at least 3 on too few letters) are skipped before any enumeration;
@@ -226,30 +225,21 @@ def _type_word_values(counts: tuple[int, ...]) -> list[dict]:
     the frontier ends in one group: a ``gf3.row_basis`` basis, or a single
     nonzero value.  h of the type is the size of that last basis.
 
-    Inside the enumeration a monomial is a Python int with bit
-    ``slot * W + der`` set for each symbol, where the slot of a generator
-    is its index and ``W = npairs + 2``.  Bit order is then symbol order, so
-    ``_kernel.assoc_step`` steps it with the bits of the two letters, the
-    layout's ``last`` mask and a ``derivs`` memo shared by every step.  A
-    state after k steps has derivation orders <= k <= npairs, so the top
-    bit of a slot stays clear; ``last`` holds the bit below it (or order
-    ``MAX_DER``, if lower), so a step would raise ``OverflowError`` before
-    it spilled into the next slot.  The final basis is returned in the
-    kernel's layout.
+    Every step is ``_kernel.assoc_step`` on the kernel's monomials, with
+    the symbols of the two letters and a ``derivs`` memo shared by every
+    step.  A state after k steps has derivation orders <= k, so the
+    orders fit while ``npairs <= MAX_DER``; ``h_of_type`` checks that
+    first (``check_depth``), and a step past it raises ``OverflowError``.
     """
     tv = TypeVector(counts)
     mult = tv.multiplicities()
     nletters = len(mult)
-    pack_sym(nletters - 1)  # range check, as the kernel would make it
     npairs = (tv.weight - 1) // 2
-    width = npairs + 2
-    bits = [i * width for i in range(nletters)]
-    last_der = min(width - 2, MAX_DER)
-    last = sum(1 << (bit + last_der) for bit in bits)
+    syms = [pack_sym(i) for i in range(nletters)]
     remaining = list(mult)
     remaining[0] -= 1
 
-    frontier = {tuple(remaining): [{1 << bits[0]: 1}]}
+    frontier = {tuple(remaining): [{1 << syms[0]: 1}]}
     derivs: dict = {}
     for _ in range(npairs):
         nxt: dict = {}
@@ -261,7 +251,7 @@ def _type_word_values(counts: tuple[int, ...]) -> list[dict]:
                     if not rem[b]:
                         continue
                     stepped = [
-                        _kernel.assoc_step(v, bits[a], bits[b], last, derivs)
+                        _kernel.assoc_step(v, syms[a], syms[b], derivs)
                         for v in values
                     ]
                     stepped = [v for v in stepped if v]
@@ -277,25 +267,7 @@ def _type_word_values(counts: tuple[int, ...]) -> list[dict]:
             rem: gf3.row_basis(vals) if len(vals) > 1 else vals
             for rem, vals in nxt.items()
         }
-    return [
-        _from_masks(value, nletters, width)
-        for values in frontier.values()
-        for value in values
-    ]
-
-
-def _from_masks(terms: dict, nletters: int, width: int) -> dict:
-    """The kernel's form of a compact-layout element (see _type_word_values):
-    slot ``i`` of ``nletters`` holds generator ``i``."""
-    slot_mask = (1 << width) - 1
-    shifts = [(i * width, pack_sym(i)) for i in range(nletters)]
-    out = {}
-    for m, c in terms.items():
-        key = 0
-        for at, sym in shifts:
-            key |= (m >> at & slot_mask) << sym
-        out[key] = c
-    return out
+    return [value for values in frontier.values() for value in values]
 
 
 def _class_bound_zero(tv: TypeVector) -> bool:
@@ -342,6 +314,7 @@ def h_of_type(a: TypeVector | Iterable[int] | str) -> int:
     tv = _as_type(a)
     if tv.weight % 2 == 0 or tv.letters == 0 or _class_bound_zero(tv):
         return 0
+    check_depth(tv)
     return _h_cached(tv.counts)
 
 
@@ -426,15 +399,39 @@ def past_verified_range(scope: int | TypeVector, unsafe: bool) -> bool:
     return past
 
 
+def check_depth(scope: int | TypeVector) -> None:
+    """Raise ``ValueError`` when a run on n = ``scope`` generators, or of
+    one type, would step words past the top derivation order.
+
+    A word of weight w takes (w - 1) / 2 steps, each raising one order,
+    and a symbol holds orders up to ``MAX_DER``.  ``h_of_type`` evaluates
+    no word of a type of even weight or one the class bound skips; on n
+    generators the others have weight at most 2n - 3, so n - 2 steps.
+    """
+    if isinstance(scope, TypeVector):
+        skipped = scope.weight % 2 == 0 or _class_bound_zero(scope)
+        steps = 0 if skipped else (scope.weight - 1) // 2
+        label = f"type {scope}"
+    else:
+        steps = scope - 2
+        label = f"n={scope}"
+    if steps > MAX_DER:
+        raise ValueError(
+            f"{label} needs words of {steps} derivation steps; symbols "
+            f"hold orders up to {MAX_DER}, enough for n <= {MAX_DER + 2}")
+
+
 def enumerate_types(n: int, *, unsafe: bool = False) -> list[TypeVector]:
     """All types with a nonzero word span on n generators."""
     past_verified_range(n, unsafe)
+    check_depth(n)
     return [tv for tv in candidate_types(n) if h_of_type(tv) > 0]
 
 
 def dim_Cn(n: int, *, unsafe: bool = False) -> DimReport:
     """Dimension of the span of all 3-words on n generators, by type."""
     past_verified_range(n, unsafe)
+    check_depth(n)
     per_type = []
     total = 0
     for tv in candidate_types(n):

@@ -2,21 +2,28 @@
 
 A monomial is stored as a byte string of native-endian uint16 symbols in
 strictly increasing order.  A symbol packs a generator index and its
-derivation order as ``(base << 6) | order``.  An element is a dict mapping
+derivation order as ``(base << 4) | order``.  An element is a dict mapping
 monomial keys to coefficients in {1, 2}; absent keys have coefficient 0.
 
 This was the package's kernel before it moved to int bitmasks.  It merges
 sorted symbol tuples and counts crossings, and shares no code with the
 package, so the tests compare the kernel with it term for term through
-``int_terms`` and ``bytes_terms``.
+``int_terms`` and ``bytes_terms``.  It keeps its own copy of the symbol
+layout, checked against the kernel's on import: a mismatch would
+otherwise show only as term mismatches far from the cause.
 """
 
 from array import array
 
-DER_BITS = 6
+from cml3 import _kernel
+
+DER_BITS = 4
 DER_MASK = (1 << DER_BITS) - 1
 MAX_DER = DER_MASK
 MAX_BASE = (1 << (16 - DER_BITS)) - 1
+assert (DER_BITS, MAX_DER, MAX_BASE) == (
+    _kernel.DER_BITS, _kernel.MAX_DER, _kernel.MAX_BASE), (
+    "bytes_oracle's symbol layout differs from cml3._kernel's")
 
 
 def pack_sym(base: int, der: int = 0) -> int:

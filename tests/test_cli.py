@@ -86,6 +86,28 @@ def test_unsafe_n_only_where_a_cap_applies():
         assert proc.stdout == "", args
 
 
+def test_mainid_algebra_rejects_samples_and_seed():
+    # the algebra check draws nothing, so it takes neither flag
+    for flags in (("--samples", "5"), ("--seed", "9"), ("--samples", "100"),
+                  ("--samples", "5", "--seed", "9", "--json")):
+        proc = run_cli("mainid", "--mode", "algebra", *flags, check=False)
+        _one_line_usage_error(proc)
+        assert proc.stdout == "", flags
+    config = json.loads(run_cli("mainid", "--mode", "algebra",
+                                "--json").stdout)["config"]
+    assert (config["samples"], config["seed"]) == (100, 0)
+
+
+def test_words_past_the_top_derivation_order_are_rejected():
+    # one line and exit 2 at once: no unverified warning, no enumeration
+    for args in (("h", "--type", "33"), ("cn", "--n", "33", "--type", "33"),
+                 ("dim", "--n", "18"), ("types", "--n", "18")):
+        proc = run_cli(*args, "--unsafe-n", check=False)
+        _one_line_usage_error(proc)
+        assert "derivation steps" in proc.stderr, args
+        assert proc.stdout == "", args
+
+
 def test_identities_past_64_generators():
     proc = run_cli("verify", "--suite", "identities", "--n", "70",
                    "--unsafe-n", "--samples", "2")
@@ -546,6 +568,9 @@ def test_golden_files():
                                  "--samples", "20", "--seed", "3")),
         ("malbos_n1.csv", ("verify", "--suite", "malbos", "--n", "1",
                            "--samples", "2", "--csv")),
+        ("cml3_n5_seed3.txt", ("verify", "--suite", "cml3", "--n", "5",
+                               "--samples", "20", "--seed", "3")),
+        ("mainid_algebra.csv", ("mainid", "--mode", "algebra", "--csv")),
     ):
         proc = run_cli(*args, "--expect", os.path.join(GOLDEN, name))
         assert proc.returncode == 0, name
@@ -562,6 +587,8 @@ def test_golden_files():
         # n 7 clamps to 6
         ("malbos_n7_seed1.json", ("verify", "--suite", "malbos", "--n", "7",
                                   "--samples", "3", "--seed", "1")),
+        ("mainid_loop_seed3.json", ("mainid", "--mode", "loop",
+                                    "--samples", "3", "--seed", "3")),
     ):
         proc = run_cli(*args, "--json", "--expect", os.path.join(GOLDEN, name))
         assert proc.returncode == 0, name

@@ -1,11 +1,12 @@
 """The span-basis frontier of ``words._type_word_values``.
 
-The frontier steps int-bitmask monomials in a compact bit layout through
-the kernel's ``assoc_step``, and keeps one echelon basis per remaining
-letter multiset.  These tests check that step against the bytes oracle,
-its h values against a rank over every word with no pruning, the n = 8
-numbers that only the faster frontier reaches in test time, and the types
-that ``h_of_type`` skips by the nilpotency class bound.
+The frontier steps the kernel's int monomials through ``assoc_step``, with
+one ``derivs`` memo for every step, and keeps one echelon basis per
+remaining letter multiset.  These tests check that step against the bytes
+oracle, the top derivation order a symbol holds and the runs that would
+pass it, the h values against a rank over every word with no pruning, the
+n = 8 numbers that only the faster frontier reaches in test time, and the
+types that ``h_of_type`` skips by the nilpotency class bound.
 """
 
 import json
@@ -17,7 +18,8 @@ import pytest
 import bytes_oracle as oracle
 from bytes_oracle import key_from_syms, syms_from_key
 from cml3 import _kernel, gf3, loop, words
-from cml3._kernel import MAX_DER, pack_sym, sym_base, sym_der
+from cml3._kernel import MAX_DER, pack_sym, sym_base
+from cml3.grassmann import GElement
 from cml3.words import (
     LeftNormedWord,
     TypeVector,
@@ -32,25 +34,6 @@ from test_acceptance import H_TABLE
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def _layout(nletters, npairs):
-    """Slot width and ``last`` mask of the frontier's layout, where slot i
-    holds generator i."""
-    width = npairs + 2
-    last = sum(1 << (i * width + min(width - 2, MAX_DER))
-               for i in range(nletters))
-    return width, last
-
-
-def _to_masks(terms, width):
-    out = {}
-    for key, c in terms.items():
-        m = 0
-        for s in syms_from_key(key):
-            m |= 1 << (sym_base(s) * width + sym_der(s))
-        out[m] = c
-    return out
-
-
 def _random_odd(rng, gens, maxder, nterms):
     out = {}
     for _ in range(nterms):
@@ -63,52 +46,66 @@ def _random_odd(rng, gens, maxder, nterms):
     return out
 
 
-def _step(x, nletters, width, last, derivs, a, b):
-    """One frontier step on a bytes-keyed element, back in the kernel's form."""
-    return words._from_masks(
-        _kernel.assoc_step(_to_masks(x, width), a * width, b * width, last,
-                           derivs),
-        nletters, width)
-
-
-def test_mask_step_matches_kernels():
+def test_step_with_shared_derivs_matches_oracle():
+    # every step shares one derivs memo, as the frontier's steps do; each
+    # is made twice, the second time from the memo alone
     rng = random.Random(4)
+    derivs = {}
     between = 0
     for _ in range(300):
-        # generator subsets with gaps: empty slots sit between used ones
+        # generator subsets with gaps: unused generators sit between used
+        # ones
         gens = rng.sample(range(14), rng.randrange(4, 11))
-        nletters = max(gens) + 1
-        npairs = rng.randrange(2, 7)
-        width, last = _layout(nletters, npairs)
-        derivs = {}
         for _ in range(4):
-            # derived symbols below width - 2: one step stays under the
-            # top bit of every slot
-            x = _random_odd(rng, gens, width - 3, rng.randrange(1, 9))
+            # below the top order, which raises
+            x = _random_odd(rng, gens, rng.randrange(MAX_DER),
+                            rng.randrange(1, 9))
             a, b = rng.sample(gens, 2)
             bases = {sym_base(s) for key in x for s in syms_from_key(key)}
             if min(bases) < a < max(bases):
                 between += 1
-            got = _step(x, nletters, width, last, derivs, a, b)
-            want = oracle.assoc_step(x, pack_sym(a), pack_sym(b))
-            assert got == oracle.int_terms(want)
+            want = oracle.int_terms(
+                oracle.assoc_step(x, pack_sym(a), pack_sym(b)))
+            x = oracle.int_terms(x)
+            assert _kernel.assoc_step(x, pack_sym(a), pack_sym(b),
+                                      derivs) == want
+            memo = len(derivs)
+            assert _kernel.assoc_step(x, pack_sym(a), pack_sym(b),
+                                      derivs) == want
+            assert len(derivs) == memo
     assert between > 200
 
 
-def test_mask_step_overflow_raises():
-    # a step that would set the top bit of a slot raises rather than spill
-    # into the next slot, or out of the layout past the last one
-    gens = (0, 1, 2)
-    width, last = _layout(len(gens), 2)
-    for gen in gens:
-        a, b = (g for g in gens if g != gen)
-        for der, overflows in ((width - 3, False), (width - 2, True)):
-            x = {key_from_syms([pack_sym(gen, der)]): 1}
-            if overflows:
-                with pytest.raises(OverflowError):
-                    _step(x, len(gens), width, last, {}, a, b)
-            else:
-                assert _step(x, len(gens), width, last, {}, a, b)
+def test_top_derivation_order_boundary():
+    # order 15 is the last a symbol holds: it parses and prints, and its
+    # derivation raises rather than spill into generator 1's field
+    top = GElement.parse("[0(15)]")
+    assert MAX_DER == 15 and top.raw() == {1 << pack_sym(0, 15): 1}
+    assert str(top) == "1*[0(15)]"
+    with pytest.raises(OverflowError):
+        _kernel.derive_terms(top.raw())
+    with pytest.raises(OverflowError):
+        _kernel.assoc_step(top.raw(), pack_sym(1), pack_sym(2))
+    with pytest.raises(ValueError):
+        GElement.parse("[0(16)]")
+    with pytest.raises(ValueError):
+        pack_sym(0, 16)
+
+
+def test_check_depth_at_the_top_order():
+    # 15 steps fit: weight 31, and every type on 17 generators; the class
+    # bound and even weights skip deeper types without a step
+    words.check_depth(TypeVector.of([31]))
+    words.check_depth(17)
+    words.check_depth(TypeVector.of([1, 16]))
+    words.check_depth(TypeVector.of([34]))
+    for scope in (TypeVector.of([33]), 18):
+        with pytest.raises(ValueError, match="16 derivation steps"):
+            words.check_depth(scope)
+    with pytest.raises(ValueError):
+        h_of_type([33])
+    with pytest.raises(ValueError):
+        dim_Cn(18, unsafe=True)
 
 
 def _left_normed_words(tv):

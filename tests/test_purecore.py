@@ -1,7 +1,7 @@
 """The pure-Python dict kernel of ``cml3._kernel`` against the bytes oracle.
 
 The kernel keys a monomial by a Python int with one bit per packed symbol
-(``base << 6 | der``); the oracle, ``bytes_oracle.py``, keys it by a byte
+(``base << 4 | der``); the oracle, ``bytes_oracle.py``, keys it by a byte
 string of sorted uint16 symbols and merges symbol tuples.  They share no
 code, and every op is compared term for term through ``int_terms`` and
 ``bytes_terms``.
@@ -119,7 +119,7 @@ def test_top_order_beside_next_generator_raises(pad, numpy_kernel):
 
 
 def test_max_base_monomial_through_text_order_and_ops():
-    # generator MAX_BASE holds bits 65472..65535, the last there are; the
+    # generator MAX_BASE holds bits 65520..65535, the last there are; the
     # numpy kernel takes them too
     top = pack_sym(MAX_BASE, MAX_DER)
     assert top == 65535
