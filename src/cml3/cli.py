@@ -92,10 +92,10 @@ def _error_exit(message: str):
 
 def _public(args) -> dict:
     # what the run computed: the command, its inputs and the seed; output
-    # options stay out
-    cfg = {"command": args.command, "samples": getattr(args, "samples", 100),
-           "seed": getattr(args, "seed", 0)}
-    for key in ("n", "type_vector", "case", "suite", "mode"):
+    # options, and samples and seed where the command draws nothing, stay
+    # out
+    cfg = {"command": args.command}
+    for key in ("n", "type_vector", "case", "suite", "mode", "samples", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -306,15 +306,17 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "mode", None) == "algebra" and (
-            args.samples is not None or args.seed is not None):
-        _error_exit("--samples and --seed apply to --mode loop only")
-    for key, default in (("samples", 100), ("seed", 0)):
-        if getattr(args, key, default) is None:
-            setattr(args, key, default)
+    if getattr(args, "mode", None) == "algebra":
+        # the algebra check draws nothing: samples and seed stay None
+        if args.samples is not None or args.seed is not None:
+            _error_exit("--samples and --seed apply to --mode loop only")
+    else:
+        for key, default in (("samples", 100), ("seed", 0)):
+            if getattr(args, key, default) is None:
+                setattr(args, key, default)
     if args.json and args.csv:
         _error_exit("--json and --csv are mutually exclusive")
-    if getattr(args, "samples", 0) < 0:
+    if (getattr(args, "samples", None) or 0) < 0:
         _error_exit(f"--samples must be >= 0, got {args.samples}")
     if getattr(args, "n", 1) < 1:
         _error_exit("n must be at least 1")

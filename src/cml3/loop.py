@@ -11,8 +11,15 @@ element is a tuple ``(x1, x2)`` of odd components: ``malbos_mul`` takes
 term dicts, and ``malbos_verify`` samples and multiplies GF(3) bit-planes
 ``(ones, twos)`` over the 64 monomials on at most six generators.
 
-All checks run on exact arithmetic: each reported pass is a proof for that
-instantiation, and failures carry the instantiation as a witness.
+All checks run on exact arithmetic, and failures carry the instantiation
+as a witness.  The loop is free on its generators, so a permutation of
+them extends to an automorphism of the twisted algebra that commutes with
+``d``, and a check built from its operations gives one verdict on a whole
+relabelling orbit of generator tuples.  So the suites check a generator
+tuple once per orbit, keyed by ``_orbit_key``: the first tuple of each
+key in the run's order is computed, and each later one takes its
+verdict.  A reported pass is a proof for every instantiation: the
+orbit's computation, carried to the others by the automorphism.
 
 Loop products are memoised by value in ``lmul`` (a bounded LRU cache), so
 a product a run has already made costs a lookup.  ``lmul(u, v)`` and
@@ -73,14 +80,15 @@ class LoopElement(Value):
 LOOP_ONE = LoopElement(GElement.one())
 
 # Products kept by the lmul memo.  The suites remake the same small
-# products many times over (generator triples, repeated inverses, the
-# factors mainid shares).  On short runs 1024 entries hold nearly every
-# repeat: against 16384, verify --suite cml3 --samples 6 had 2,912 hits
-# against 2,914 (n 6, seed 427) and 4,276 against 4,415 (n 7, seed 62) of
-# about 6,100 calls, and mainid --mode loop --samples 1 the same hits, so
-# the larger memo saves at most 3% of the products there, while it peaked
-# 0.1-1.4 MB higher (cold runs, 2 vCPUs).  A long run such as
-# verify_cml3(7, 500) outgrows 1024 entries.
+# products many times over (repeated inverses, the factors mainid shares,
+# the sampled loop words).  Short runs never fill 1024 entries: verify
+# --suite cml3 --samples 6 makes 439 calls with 190 misses (n 6, seed 427)
+# and 371 with 190 (n 7, seed 62), and mainid --mode loop --samples 1 399
+# with 265, as many as with 16384 entries.  (Checking all n^3 generator
+# triples, the first two made 4,026 and 6,117 calls, and 16384 entries
+# saved at most 3% of their products but peaked 0.1-1.4 MB higher, cold
+# on 2 vCPUs.)  A long run outgrows 1024 entries: verify_cml3(7, 500) has
+# 10,359 hits in 20,745 calls, against 13,161 with 16384 entries.
 LMUL_MEMO_SIZE = 1024
 
 
@@ -181,28 +189,56 @@ def _require_generators(n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-def _failures_over(labeled, check):
-    """Labels failing a predicate, preserving instantiation order."""
-    return [lab for lab, x in labeled if not check(x)]
+def _orbit_key(t: tuple) -> tuple:
+    """The relabelling orbit of a generator tuple: its letters renumbered
+    in order of first appearance, so ``(3, 5, 3)`` becomes ``(0, 1, 0)``."""
+    first: dict = {}
+    return tuple([first.setdefault(g, len(first)) for g in t])
+
+
+def _failures_over(labeled, check, keys=None):
+    """Labels failing a predicate, preserving instantiation order.
+
+    ``keys``, if given, holds one orbit key per item (``_orbit_key`` of
+    its generator tuple), or None for an item that is no generator tuple.
+    The check runs on the first item of each key, and every later item
+    with that key takes its verdict.
+    """
+    if keys is None:
+        return [lab for lab, x in labeled if not check(x)]
+    verdicts: dict = {}
+    failures = []
+    for (lab, x), key in zip(labeled, keys, strict=True):
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = check(x)
+            if key is not None:
+                verdicts[key] = ok
+        if not ok:
+            failures.append(lab)
+    return failures
 
 
 def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     """Check the loop axioms on generator triples plus seeded loop words.
 
     Covers commutativity, the Moufang identity, exponent 3, and the
-    exponent 3 of associators.
+    exponent 3 of associators.  The generator triples are checked once
+    per relabelling orbit; exponent 3 runs on every distinct element of
+    all the triples.
     """
     _require_generators(n)
     rng = random.Random(seed)
     gens = [loop_generator(i) for i in range(n)]
-    triples = [(gens[i], gens[j], gens[k])
-               for i in range(n) for j in range(n) for k in range(n)]
-    labels = [f"gen({i},{j},{k})"
-              for i in range(n) for j in range(n) for k in range(n)]
+    indices = list(itertools.product(range(n), repeat=3))
+    triples = [(gens[i], gens[j], gens[k]) for i, j, k in indices]
+    labels = [f"gen({i},{j},{k})" for i, j, k in indices]
+    keys = [_orbit_key(t) for t in indices]
     for s in range(samples):
         triples.append(tuple(sample_loop_element(rng, n, rng.randrange(4))
                              for _ in range(3)))
         labels.append(f"sample({s})")
+        keys.append(None)
     labeled = list(zip(labels, triples))
 
     report = []
@@ -213,7 +249,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     report.append(_entry(
         "commutativity", len(labeled),
-        _failures_over(labeled, commutes),
+        _failures_over(labeled, commutes, keys),
     ))
 
     def moufang(t):
@@ -224,7 +260,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         return left.value == right.value
 
     report.append(_entry(
-        "moufang", len(labeled), _failures_over(labeled, moufang)
+        "moufang", len(labeled), _failures_over(labeled, moufang, keys)
     ))
 
     seen_elements = {}
@@ -247,7 +283,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     report.append(_entry(
         "associator_exponent3", len(labeled),
-        _failures_over(labeled, assoc_cubes_to_one),
+        _failures_over(labeled, assoc_cubes_to_one, keys),
     ))
 
     return report
@@ -345,20 +381,27 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     stays under the exhaustive cap, otherwise on seeded tuples; a failure
     reports the instantiation.  A sampled identity needs ``samples >= 1``:
     with none, ``ValueError`` is raised rather than a vacuous pass.  Each
-    check takes its tuple and the identity's ``_ChainMemo``.
+    check takes its tuple and the identity's ``_ChainMemo``, once per
+    relabelling orbit of the tuples.
     """
     _require_generators(n)
     report = []
-    draw = functools.cache(
-        lambda arity: _instantiation_tuples(n, arity, samples, seed))
+
+    @functools.cache
+    def draw(arity):
+        tuples, mode = _instantiation_tuples(n, arity, samples, seed)
+        return tuples, mode, [_orbit_key(t) for t in tuples]
+
     derivs: dict = {}
     syms = [pack_sym(g) for g in range(n)]
 
     def run(identity: str, arity: int, check: Callable[[tuple, _ChainMemo], bool]):
-        tuples, mode = draw(arity)
+        tuples, mode, keys = draw(arity)
         chain = _ChainMemo(derivs, syms)
-        failures = [f"{mode}{t}" for t in tuples if not check(t, chain)]
-        report.append(_entry(identity, len(tuples), failures))
+        failing = _failures_over(zip(tuples, tuples),
+                                 lambda t: check(t, chain), keys)
+        report.append(_entry(identity, len(tuples),
+                             [f"{mode}{t}" for t in failing]))
 
     # one-slot chain ((x,y,a),a,z): skew-symmetric in x, y, z
     def one_slot_skew(t, chain):
@@ -442,28 +485,33 @@ def _schema_soundness(draw: Callable, derivs: dict, syms: Sequence[int]) -> dict
     """Every relation-schema instantiation vanishes in the algebra.
 
     ``draw(arity)`` gives the suite's tuples of that arity (the head, then
-    each schema letter's generator) and their mode; ``derivs`` and ``syms``
-    are the suite's, for its ``_ChainMemo``s.
+    each schema letter's generator), their mode and their orbit keys;
+    ``derivs`` and ``syms`` are the suite's, for its ``_ChainMemo``s.
     """
     from .schemas import SCHEMAS
 
     failures = []
     checked = 0
     for name, schema in SCHEMAS.items():
-        tuples, mode = draw(len(schema.letters) + 1)
-        chain = _ChainMemo(derivs, syms)
-        for t in tuples:
-            head, gens = t[0], t[1:]
-            total: dict = {}
-            for coeff, pattern in schema.pos_terms:
-                pairs = [(gens[i], gens[j]) for i, j in pattern
-                         if gens[i] != gens[j]]
-                if len(pairs) == len(pattern):  # else a pair degenerates
-                    _add_into(total, chain(head, pairs), coeff)
-            checked += 1
-            if total:
-                failures.append(f"{name}:{mode}{t}")
+        tuples, mode, keys = draw(len(schema.letters) + 1)
+        vanishes = functools.partial(
+            _schema_vanishes, schema.pos_terms, _ChainMemo(derivs, syms))
+        failures += [f"{name}:{mode}{t}"
+                     for t in _failures_over(zip(tuples, tuples), vanishes, keys)]
+        checked += len(tuples)
     return _entry("relation_schema_soundness", checked, failures)
+
+
+def _schema_vanishes(pos_terms, chain: _ChainMemo, t: tuple) -> bool:
+    """Whether one schema, compiled to ``pos_terms``, vanishes on ``t``."""
+    head, gens = t[0], t[1:]
+    total: dict = {}
+    for coeff, pattern in pos_terms:
+        pairs = [(gens[i], gens[j]) for i, j in pattern
+                 if gens[i] != gens[j]]
+        if len(pairs) == len(pattern):  # else a pair degenerates
+            _add_into(total, chain(head, pairs), coeff)
+    return not total
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import random
 
-from cml3._kernel import pack_sym, positions, sym_base
+from cml3._kernel import pack_sym, positions, sym_base, sym_der
 from cml3.grassmann import GElement, elem_mul
 
 
@@ -74,3 +74,26 @@ def terms_plane(terms: dict) -> tuple:
         i = sum(1 << sym_base(s) for s in positions(key))
         planes[coeff - 1] |= 1 << i
     return tuple(planes)
+
+
+def relabel(terms: dict, perm) -> dict:
+    """``terms`` with generator g renamed ``perm[g]``: each symbol moves to
+    its new generator at the same derivation order, the bits are sorted
+    again, and a term changes sign when that sort is an odd permutation."""
+    out = {}
+    for key, c in terms.items():
+        syms = [pack_sym(perm[sym_base(s)], sym_der(s)) for s in positions(key)]
+        swaps = sum(a > b for i, a in enumerate(syms) for b in syms[i + 1:])
+        out[sum(1 << s for s in syms)] = 3 - c if swaps & 1 else c
+    return out
+
+
+def flip_first_coefficient(op):
+    """``op`` with the coefficient of the first term of each result flipped."""
+    def flipped(*args):
+        out = op(*args)
+        for key in out:
+            out[key] = 3 - out[key]
+            break
+        return out
+    return flipped

@@ -95,7 +95,23 @@ def test_mainid_algebra_rejects_samples_and_seed():
         assert proc.stdout == "", flags
     config = json.loads(run_cli("mainid", "--mode", "algebra",
                                 "--json").stdout)["config"]
-    assert (config["samples"], config["seed"]) == (100, 0)
+    assert config == {"command": "mainid", "mode": "algebra"}
+
+
+def test_config_names_samples_and_seed_only_where_drawn():
+    # a command that draws nothing claims no samples and no seed
+    for args in (("dim", "--n", "2"), ("h", "--type", "3"),
+                 ("cn", "--n", "2", "--type", "3"), ("types", "--n", "2"),
+                 ("tah",), ("regular", "--case", "5")):
+        config = json.loads(run_cli(*args, "--json").stdout)["config"]
+        assert "samples" not in config and "seed" not in config, args
+    for args, drawn in (
+            (("verify", "--suite", "malbos", "--n", "2"), (100, 0)),
+            (("verify", "--suite", "cml3", "--n", "1", "--samples", "0",
+              "--seed", "4"), (0, 4)),
+            (("mainid", "--mode", "loop", "--samples", "0"), (0, 0))):
+        config = json.loads(run_cli(*args, "--json").stdout)["config"]
+        assert (config["samples"], config["seed"]) == drawn, args
 
 
 def test_words_past_the_top_derivation_order_are_rejected():

@@ -3,6 +3,7 @@ import random
 import pytest
 from helpers import (
     dict_sample_odd,
+    flip_first_coefficient,
     plane_terms,
     random_homogeneous,
     terms_plane,
@@ -250,28 +251,41 @@ def test_chain_memo_matches_eval_word(n):
     assert derivs or n == 1
 
 
-def _flip_first_coefficient(op):
-    """``op`` with the coefficient of the first term of each result flipped."""
-    def flipped(*args):
-        out = op(*args)
-        for key in out:
-            out[key] = 3 - out[key]
-            break
+def _unshared(monkeypatch):
+    """Every instantiation its own orbit key, so each tuple is computed."""
+    monkeypatch.setattr(loop, "_orbit_key", lambda t: object())
+
+
+def _negated_on_a_repeated_letter(step):
+    """``step`` negated when its first letter's generator is already in
+    the chain: a fault that depends on no label, so a relabelling shows
+    it as well as the tuple itself does."""
+    def negated(terms, sa, sb, derivs=None):
+        out = step(terms, sa, sb, derivs)
+        base = _kernel.sym_base(sa)
+        if any(_kernel.sym_base(s) == base
+               for key in terms for s in _kernel.positions(key)):
+            out = {key: 3 - c for key, c in out.items()}
         return out
-    return flipped
+    return negated
 
 
 def test_identities_fail_on_a_corrupted_step(monkeypatch):
+    # flipping the first coefficient of a step depends on the labels,
+    # which the orbits' first tuples at n = 4 never expose; test_orbits
+    # shows it fails the relabelling lemma instead
     monkeypatch.setattr(_kernel, "assoc_step",
-                        _flip_first_coefficient(_kernel.assoc_step))
+                        _negated_on_a_repeated_letter(_kernel.assoc_step))
     report = verify_identities(4, 20, 0)
     assert not report_passed(report)
     assert all("witness" in e for e in report if not e["pass"])
+    _unshared(monkeypatch)
+    assert verify_identities(4, 20, 0) == report
 
 
 def test_identities_make_every_step(monkeypatch):
-    # the memos save work per step, not steps: each instantiation steps
-    # every chain past its longest prefix already stepped
+    # each orbit's first tuple steps every chain past its longest prefix
+    # already stepped; with every tuple its own orbit, every tuple does
     calls = 0
     step = _kernel.assoc_step
 
@@ -281,6 +295,10 @@ def test_identities_make_every_step(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(_kernel, "assoc_step", counted)
+    assert report_passed(verify_identities(7, 1000, 5))
+    assert calls == 8_928
+    calls = 0
+    _unshared(monkeypatch)
     assert report_passed(verify_identities(7, 1000, 5))
     assert calls == 40_432
 
@@ -306,14 +324,15 @@ def test_schema_soundness_fails_on_a_corrupted_term(monkeypatch):
 def test_associator_rewrite_fails_on_a_corrupted_wedge(monkeypatch):
     # the inner associators are memoised per call, from the patched kernel
     monkeypatch.setattr(_kernel, "wedge_terms",
-                        _flip_first_coefficient(_kernel.wedge_terms))
+                        flip_first_coefficient(_kernel.wedge_terms))
     entry = _entries(verify_identities(4, 20, 0))["associator_rewrite"]
     assert not entry["pass"]
     assert "witness" in entry
 
 
 def test_compiled_schemas_match_the_string_patterns(monkeypatch):
-    # each schema on 200 seeded tuples over 3 generators, so letters repeat
+    # each schema on 200 seeded tuples over 3 generators, so letters
+    # repeat; every tuple computed, so each adds its chains
     from cml3.loop import _ident, _schema_soundness
     from cml3.schemas import SCHEMAS
     from cml3.words import LeftNormedWord, eval_word
@@ -332,8 +351,11 @@ def test_compiled_schemas_match_the_string_patterns(monkeypatch):
         return add_into(total, terms, coeff)
 
     monkeypatch.setattr(loop, "_add_into", recorded)
+    _unshared(monkeypatch)
     syms = [_kernel.pack_sym(g) for g in range(3)]
-    entry = _schema_soundness(lambda arity: (tuples[arity], "sampled"), {}, syms)
+    entry = _schema_soundness(
+        lambda arity: (tuples[arity], "sampled",
+                       [loop._orbit_key(t) for t in tuples[arity]]), {}, syms)
     assert entry["pass"]
     # the string patterns: a letter dict per tuple, every chain by eval_word
     expected = []
@@ -361,6 +383,31 @@ def test_verify_identities_small():
     names = {e["identity"] for e in report}
     assert "relation_schema_soundness" in names
     assert "associator_rewrite" in names
+
+
+def test_failures_over_keys_no_item():
+    # malbos_verify checks list slices of its pairs, which cannot key a
+    # dict: only the orbit keys given, never the items, are keys
+    labeled = [("p", [1, 2]), ("q", [3]), ("r", [4, 5])]
+    assert loop._failures_over(labeled, lambda x: len(x) == 2) == ["q"]
+    checked = []
+
+    def check(x):
+        checked.append(x)
+        return len(x) == 2
+
+    # q takes p's verdict; r, with no key, is checked
+    assert loop._failures_over(labeled, check, [(0,), (0,), None]) == []
+    assert checked == [[1, 2], [4, 5]]
+
+
+def test_exponent3_counts_the_elements_of_every_triple():
+    # the orbits' first triples hold generators 0, 1 and 2 only; exponent 3
+    # runs on each distinct element of all the triples
+    assert _entries(verify_cml3(7, 0, 0))["exponent3"]["instantiation"] == (
+        "7 instantiation(s)")
+    assert _entries(verify_cml3(7, 6, 62))["exponent3"]["instantiation"] == (
+        "20 instantiation(s)")
 
 
 MALBOS_ONE = ({}, {})
