@@ -13,7 +13,7 @@ import sys
 
 # loop and twowords are imported by the handlers that use them, so the
 # word-span commands (dim, h, cn, types) never compile them
-from . import gf3, words
+from . import _kernel, gf3, words
 # rank_and_kernel stays importable here: perfbench/tracer.py wraps the gf3
 # names at each module that imports them
 from .gf3 import rank_and_kernel  # noqa: F401
@@ -107,13 +107,22 @@ def _check_range(scope, args) -> None:
 
     Before the warning, a word-span run (any command but verify, whose
     suites' depth does not grow with n) is rejected if its words would
-    pass the top derivation order.
+    pass the top derivation order, and a verify run if its generators
+    would not fit in a symbol.
     """
     past = words.past_verified_range(scope, args.unsafe_n)
     if args.command != "verify":
         words.check_depth(scope)
+    elif scope > _kernel.MAX_BASE + 1:
+        raise ValueError(f"n={scope} is past the {_kernel.MAX_BASE + 1:,} "
+                         "generators a symbol holds")
     if past:
-        print(f"cml3: past the verified range (n <= {words.MAX_SAFE_N}); "
+        if isinstance(scope, words.TypeVector):
+            bound = (f"letters <= {words.MAX_SAFE_LETTERS}, "
+                     f"weight <= {words.MAX_SAFE_WEIGHT}")
+        else:
+            bound = f"n <= {words.MAX_SAFE_N}"
+        print(f"cml3: past the verified range ({bound}); "
               "the result is unverified", file=sys.stderr)
 
 

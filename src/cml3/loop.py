@@ -25,16 +25,16 @@ Loop products are memoised by value in ``lmul`` (a bounded LRU cache), so
 a product a run has already made costs a lookup.  ``lmul(u, v)`` and
 ``lmul(v, u)`` are separate entries, so commutativity still computes both
 sides, and ``linv`` checks each distinct element it inverts the first
-time; a repeat reuses that verdict.  The chain identities evaluate their
-left-normed chains through a ``_ChainMemo``, one per identity: a trie of
-the chain prefixes it has stepped.  One call of ``verify_identities``
-packs each generator's symbol once, keeps one ``derivs`` memo of Leibniz
-summands for every step, draws the tuples once per arity, makes each inner
-associator once and reads the relation schemas, compiled to letter
-positions, from ``cml3.schemas``.  The identity checks add and compare
-raw term dicts, with no ``GElement`` or ``Word3`` per instantiation;
-each step and each wedge still goes through ``cml3._kernel``.  Call
-``lmul.cache_clear()`` before patching a kernel.
+time; a repeat reuses that verdict.  The chain identities are data,
+``CHAIN_IDENTITIES``, in the form the relation schemas of
+``cml3.schemas`` compile to, and one routine, ``_vanishes``, checks them
+all.  One call of ``verify_identities`` packs each generator's symbol
+once, keeps one ``derivs`` memo of Leibniz summands for every step and
+draws the tuples once per arity.  Chains are evaluated by
+``words._eval_left_normed`` and the trees of ``associator_rewrite`` by
+``words._eval_tree``, on raw term dicts, with no ``GElement`` or
+``Word3`` per instantiation; each step and each wedge goes through
+``cml3._kernel``.  Call ``lmul.cache_clear()`` before patching a kernel.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from . import _kernel
 from ._kernel import pack_sym
 from ._value import Value
 from .grassmann import GElement, elem_mul
 from .twisted import associator, cmul
-from .words import LeftNormedWord, eval_word
+from .words import LeftNormedWord, _eval_left_normed, _eval_tree, eval_word
 
 
 class NonInvertible(Exception):
@@ -223,23 +223,28 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     """Check the loop axioms on generator triples plus seeded loop words.
 
     Covers commutativity, the Moufang identity, exponent 3, and the
-    exponent 3 of associators.  The generator triples are checked once
-    per relabelling orbit; exponent 3 runs on every distinct element of
-    all the triples.
+    exponent 3 of associators.  The generator triples are walked, never
+    stored, and checked once per relabelling orbit; exponent 3 runs on
+    every distinct element of all the triples.
     """
     _require_generators(n)
     rng = random.Random(seed)
     gens = [loop_generator(i) for i in range(n)]
-    indices = list(itertools.product(range(n), repeat=3))
-    triples = [(gens[i], gens[j], gens[k]) for i, j, k in indices]
-    labels = [f"gen({i},{j},{k})" for i, j, k in indices]
-    keys = [_orbit_key(t) for t in indices]
-    for s in range(samples):
-        triples.append(tuple(sample_loop_element(rng, n, rng.randrange(4))
-                             for _ in range(3)))
-        labels.append(f"sample({s})")
-        keys.append(None)
-    labeled = list(zip(labels, triples))
+    sampled = [
+        (f"sample({s})", tuple(sample_loop_element(rng, n, rng.randrange(4))
+                               for _ in range(3)))
+        for s in range(samples)
+    ]
+    count = n**3 + samples
+
+    def labeled():
+        for i, j, k in itertools.product(range(n), repeat=3):
+            yield f"gen({i},{j},{k})", (gens[i], gens[j], gens[k])
+        yield from sampled
+
+    def keys():
+        yield from map(_orbit_key, itertools.product(range(n), repeat=3))
+        yield from itertools.repeat(None, samples)
 
     report = []
 
@@ -248,8 +253,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         return lmul(u, v).value == lmul(v, u).value
 
     report.append(_entry(
-        "commutativity", len(labeled),
-        _failures_over(labeled, commutes, keys),
+        "commutativity", count, _failures_over(labeled(), commutes, keys()),
     ))
 
     def moufang(t):
@@ -260,11 +264,12 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         return left.value == right.value
 
     report.append(_entry(
-        "moufang", len(labeled), _failures_over(labeled, moufang, keys)
+        "moufang", count, _failures_over(labeled(), moufang, keys())
     ))
 
-    seen_elements = {}
-    for label, triple in labeled:
+    # generator i first appears in the triple (0, 0, i)
+    seen_elements = {u: f"gen(0,0,{i})" for i, u in enumerate(gens)}
+    for label, triple in sampled:
         for u in triple:
             seen_elements.setdefault(u, label)
     elements = [(label, u) for u, label in seen_elements.items()]
@@ -282,8 +287,8 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         return lmul(lmul(a, a), a).is_one()
 
     report.append(_entry(
-        "associator_exponent3", len(labeled),
-        _failures_over(labeled, assoc_cubes_to_one, keys),
+        "associator_exponent3", count,
+        _failures_over(labeled(), assoc_cubes_to_one, keys()),
     ))
 
     return report
@@ -308,16 +313,6 @@ def _instantiation_tuples(n: int, arity: int, samples: int, seed: int):
     ], "sampled"
 
 
-class _Identity(dict):
-    """Letter i evaluated as generator i, for every letter."""
-
-    def __missing__(self, letter):
-        return letter
-
-
-_ident = _Identity()
-
-
 def _add_into(total: dict, terms: dict, coeff: int = 1) -> dict:
     """Add ``coeff * terms`` to the term dict ``total`` in place; return it."""
     coeff %= 3
@@ -332,46 +327,88 @@ def _add_into(total: dict, terms: dict, coeff: int = 1) -> dict:
     return total
 
 
-class _ChainMemo:
-    """Left-normed chains on generators, sharing their proper prefixes.
+# The chain identities of the word calculus, as data.  An identity is a
+# tuple of relations, all of which must vanish; a relation is a GF(3)
+# combination of chains (coefficient, head position, pair positions),
+# read on an instantiation tuple t as the left-normed chain
+# ((..((t[head], t[i1], t[j1]), t[i2], t[j2])..)).  The relation schemas
+# compile to one relation each: head position 0, pair positions shifted
+# by one.
+CHAIN_IDENTITIES = {
+    # one-slot chain ((x,y,a),a,z): skew-symmetric in x, y, z; t = (x,y,a,z)
+    "chain_skew_xyz": (
+        ((1, 0, ((1, 2), (2, 3))), (1, 1, ((0, 2), (2, 3)))),
+        ((1, 0, ((1, 2), (2, 3))), (1, 0, ((3, 2), (2, 1)))),
+    ),
+    # two-slot chain (((x,y,a),a,b),b,z): symmetric in the slot letters
+    # a, b; t = (x,y,a,b,z)
+    "chain_slot_symmetry": (
+        ((1, 0, ((1, 2), (2, 3), (3, 4))), (2, 0, ((1, 3), (3, 2), (2, 4)))),
+    ),
+    # ... and skew-symmetric in x, y, z
+    "chain_skew_outer": (
+        ((1, 0, ((1, 2), (2, 3), (3, 4))), (1, 4, ((1, 2), (2, 3), (3, 0)))),
+        ((1, 0, ((1, 2), (2, 3), (3, 4))), (1, 1, ((0, 2), (2, 3), (3, 4)))),
+    ),
+    # ia.ja.pa = 0 on the chain head x; t = (x,i,j,p,a)
+    "triple_slot_vanishes": (((1, 0, ((1, 4), (2, 4), (3, 4))),),),
+    # its full linearization; t = (x,i,j,p,a,b,c)
+    "triple_slot_linearized": (tuple(
+        (1, 0, ((1, s1), (2, s2), (3, s3)))
+        for s1, s2, s3 in itertools.permutations((4, 5, 6))),),
+}
 
-    ``chain(head, pairs)`` is the term dict of ``eval_word(LeftNormedWord(
-    head, pairs), _ident)``, with ``syms[g]`` the symbol of generator ``g``.
-    ``prefixes`` is a trie walked one pair per level: each node, named by
-    its path packed into one int (a marker bit above the head's 16-bit
-    symbol, then 32 bits per pair: its letters' symbols), maps to the term
-    dict of every proper prefix stepped so far; the last pair is stepped
-    without being stored.  A vanishing prefix stops the chain, as in
-    ``eval_word``.  Callers must not mutate the returned dicts.  Every step
-    goes through ``_kernel.assoc_step``, where a tracer finds it, with
-    ``derivs``, the suite's Leibniz summands.
+
+def _arity(relations) -> int:
+    """The length of the tuples a relation list reads: one past its
+    highest position."""
+    return 1 + max(max(head, *itertools.chain(*pairs))
+                   for relation in relations for _, head, pairs in relation)
+
+
+def _vanishes(relations, syms: Sequence[int], derivs: dict) -> bool:
+    """Whether every relation vanishes with position i at symbol ``syms[i]``.
+
+    A chain with a pair of equal letters is 0, so it is skipped.  Chains
+    run through ``words._eval_left_normed`` with ``derivs``.
     """
+    for relation in relations:
+        total: dict = {}
+        for coeff, head, pairs in relation:
+            pair_syms = [(syms[i], syms[j]) for i, j in pairs
+                         if syms[i] != syms[j]]
+            if len(pair_syms) == len(pairs):
+                chain = _eval_left_normed(syms[head], pair_syms, derivs)
+                _add_into(total, chain, coeff)
+        if total:
+            return False
+    return True
 
-    def __init__(self, derivs: dict, syms: Sequence[int]):
-        self.prefixes: dict = {}
-        self.derivs = derivs
-        self.syms = syms
 
-    def __call__(self, head: int, pairs) -> dict:
-        syms = self.syms
-        if not pairs:
-            return {1 << syms[head]: 1}
-        prefixes, derivs = self.prefixes, self.derivs
-        node = 1 << 16 | syms[head]
-        value = prefixes.get(node)
-        if value is None:
-            value = prefixes[node] = {1 << syms[head]: 1}
-        for i in range(len(pairs) - 1):
-            a, b = pairs[i]
-            sa, sb = syms[a], syms[b]
-            node = node << 32 | sa << 16 | sb
-            stored = prefixes.get(node)
-            if stored is None:
-                stored = prefixes[node] = value and _kernel.assoc_step(
-                    value, sa, sb, derivs)
-            value = stored
-        a, b = pairs[-1]
-        return value and _kernel.assoc_step(value, syms[a], syms[b], derivs)
+def _schema_relations(schema) -> tuple:
+    """A relation schema as an identity of one relation: the head at
+    position 0, schema letter i at position i + 1."""
+    return (tuple((coeff, 0, tuple((i + 1, j + 1) for i, j in pattern))
+                  for coeff, pattern in schema.pos_terms),)
+
+
+# ((x,y,z),a,b) = ((x,a,b),y,z) + (x,(y,a,b),z) + (x,y,(z,a,b)) as trees
+# of positions in t = (x,y,z,a,b): the left side, then the three terms
+_REWRITE = (((0, 1, 2), 3, 4),
+            ((0, 3, 4), 1, 2), (0, (1, 3, 4), 2), (0, 1, (2, 3, 4)))
+
+
+def _rewrite_holds(t: tuple) -> bool:
+    lhs, rhs, *rest = (_eval_tree(tree, t) for tree in _REWRITE)
+    for terms in rest:
+        _add_into(rhs, terms)
+    return lhs == rhs
+
+
+def _shortcut_holds(t: tuple) -> bool:
+    # the associator of odd elements is the derivation of their product
+    x, y, z = (GElement.generator(i) for i in t)
+    return associator(x, y, z) == elem_mul(elem_mul(x, y), z).derive()
 
 
 def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
@@ -380,12 +417,13 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     Each identity is evaluated on every generator tuple when the count
     stays under the exhaustive cap, otherwise on seeded tuples; a failure
     reports the instantiation.  A sampled identity needs ``samples >= 1``:
-    with none, ``ValueError`` is raised rather than a vacuous pass.  Each
-    check takes its tuple and the identity's ``_ChainMemo``, once per
-    relabelling orbit of the tuples.
+    with none, ``ValueError`` is raised rather than a vacuous pass.  The
+    chain identities and the relation schemas are checked by
+    ``_vanishes``, once per relabelling orbit of the tuples.
     """
+    from .schemas import SCHEMAS
+
     _require_generators(n)
-    report = []
 
     @functools.cache
     def draw(arity):
@@ -395,123 +433,35 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     derivs: dict = {}
     syms = [pack_sym(g) for g in range(n)]
 
-    def run(identity: str, arity: int, check: Callable[[tuple, _ChainMemo], bool]):
+    def failing(arity, holds, label=""):
+        """The tuple count of one check and the labels of its failures."""
         tuples, mode, keys = draw(arity)
-        chain = _ChainMemo(derivs, syms)
-        failing = _failures_over(zip(tuples, tuples),
-                                 lambda t: check(t, chain), keys)
-        report.append(_entry(identity, len(tuples),
-                             [f"{mode}{t}" for t in failing]))
+        failures = _failures_over(zip(tuples, tuples), holds, keys)
+        return len(tuples), [f"{label}{mode}{t}" for t in failures]
 
-    # one-slot chain ((x,y,a),a,z): skew-symmetric in x, y, z
-    def one_slot_skew(t, chain):
-        x, y, a, z = t
-        neg = _add_into({}, chain(x, ((y, a), (a, z))), 2)
-        return (
-            chain(y, ((x, a), (a, z))) == neg
-            and chain(x, ((z, a), (a, y))) == neg
-        )
+    def vanishing(relations, label=""):
+        return failing(_arity(relations), lambda t: _vanishes(
+            relations, [syms[g] for g in t], derivs), label)
 
-    run("chain_skew_xyz", 4, one_slot_skew)
+    def chains(identity):
+        return _entry(identity, *vanishing(CHAIN_IDENTITIES[identity]))
 
-    # two-slot chain ((((x,y,a),a,b),b,z): symmetric in the slot letters a, b
-    def two_slot_symmetry(t, chain):
-        x, y, a, b, z = t
-        return chain(x, ((y, a), (a, b), (b, z))) == chain(
-            x, ((y, b), (b, a), (a, z))
-        )
-
-    run("chain_slot_symmetry", 5, two_slot_symmetry)
-
-    # ... and skew-symmetric in x, y, z
-    def two_slot_skew(t, chain):
-        x, y, a, b, z = t
-        neg = _add_into({}, chain(x, ((y, a), (a, b), (b, z))), 2)
-        return (
-            chain(z, ((y, a), (a, b), (b, x))) == neg
-            and chain(y, ((x, a), (a, b), (b, z))) == neg
-        )
-
-    run("chain_skew_outer", 5, two_slot_skew)
-
-    # the associator (u,v,w) of odd elements is d(u ^ v ^ w), as in eval_word
-    def assoc(u, v, w):
-        return _kernel.derive_terms(
-            _kernel.wedge_terms(_kernel.wedge_terms(u, v), w))
-
-    leaf = [{1 << s: 1} for s in syms]
-    inner = functools.cache(lambda x, y, z: assoc(leaf[x], leaf[y], leaf[z]))
-
-    # ((x,y,z),a,b) = ((x,a,b),y,z) + (x,(y,a,b),z) + (x,y,(z,a,b))
-    def rewrite4(t, _):
-        x, y, z, a, b = t
-        rhs = assoc(inner(x, a, b), leaf[y], leaf[z])
-        _add_into(rhs, assoc(leaf[x], inner(y, a, b), leaf[z]))
-        _add_into(rhs, assoc(leaf[x], leaf[y], inner(z, a, b)))
-        return assoc(inner(x, y, z), leaf[a], leaf[b]) == rhs
-
-    run("associator_rewrite", 5, rewrite4)
-
-    # ia.ja.pa = 0
-    def triple_slot(t, chain):
-        x, i, j, p, a = t
-        return not chain(x, ((i, a), (j, a), (p, a)))
-
-    run("triple_slot_vanishes", 5, triple_slot)
-
-    # full linearization of ia.ja.pa = 0
-    def triple_slot_linear(t, chain):
-        x, i, j, p, a, b, c = t
-        total: dict = {}
-        for s1, s2, s3 in ((a, b, c), (a, c, b), (b, a, c),
-                           (b, c, a), (c, a, b), (c, b, a)):
-            _add_into(total, chain(x, ((i, s1), (j, s2), (p, s3))))
-        return not total
-
-    run("triple_slot_linearized", 7, triple_slot_linear)
-
-    # associator of odd elements is the derivation of their product
-    def shortcut(t, _):
-        x, y, z = (GElement.generator(i) for i in t)
-        return associator(x, y, z) == elem_mul(elem_mul(x, y), z).derive()
-
-    run("associator_derivation_shortcut", 3, shortcut)
-
-    report.append(_schema_soundness(draw, derivs, syms))
-    return report
-
-
-def _schema_soundness(draw: Callable, derivs: dict, syms: Sequence[int]) -> dict:
-    """Every relation-schema instantiation vanishes in the algebra.
-
-    ``draw(arity)`` gives the suite's tuples of that arity (the head, then
-    each schema letter's generator), their mode and their orbit keys;
-    ``derivs`` and ``syms`` are the suite's, for its ``_ChainMemo``s.
-    """
-    from .schemas import SCHEMAS
-
-    failures = []
-    checked = 0
+    report = [
+        chains("chain_skew_xyz"),
+        chains("chain_slot_symmetry"),
+        chains("chain_skew_outer"),
+        _entry("associator_rewrite", *failing(5, _rewrite_holds)),
+        chains("triple_slot_vanishes"),
+        chains("triple_slot_linearized"),
+        _entry("associator_derivation_shortcut", *failing(3, _shortcut_holds)),
+    ]
+    checked, failures = 0, []
     for name, schema in SCHEMAS.items():
-        tuples, mode, keys = draw(len(schema.letters) + 1)
-        vanishes = functools.partial(
-            _schema_vanishes, schema.pos_terms, _ChainMemo(derivs, syms))
-        failures += [f"{name}:{mode}{t}"
-                     for t in _failures_over(zip(tuples, tuples), vanishes, keys)]
-        checked += len(tuples)
-    return _entry("relation_schema_soundness", checked, failures)
-
-
-def _schema_vanishes(pos_terms, chain: _ChainMemo, t: tuple) -> bool:
-    """Whether one schema, compiled to ``pos_terms``, vanishes on ``t``."""
-    head, gens = t[0], t[1:]
-    total: dict = {}
-    for coeff, pattern in pos_terms:
-        pairs = [(gens[i], gens[j]) for i, j in pattern
-                 if gens[i] != gens[j]]
-        if len(pairs) == len(pattern):  # else a pair degenerates
-            _add_into(total, chain(head, pairs), coeff)
-    return not total
+        count, labels = vanishing(_schema_relations(schema), f"{name}:")
+        checked += count
+        failures += labels
+    report.append(_entry("relation_schema_soundness", checked, failures))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +476,7 @@ def tah_witness() -> GElement:
     word engine computes inside a quotient of the free loop's algebra.
     """
     word = LeftNormedWord(0, ((1, 6), (6, 2), (3, 4), (6, 5)))
-    return eval_word(word, _ident)
+    return eval_word(word, {i: i for i in range(7)})
 
 
 def _five_two_values() -> list[GElement]:

@@ -173,8 +173,9 @@ def eval_word(word: Word3 | LeftNormedWord, assign: Mapping[int, int]):
 
     if isinstance(word, LeftNormedWord):
         try:
-            head = assign[word.head]
-            pairs = [(assign[a], assign[b]) for a, b in word.tail]
+            head = pack_sym(assign[word.head])
+            pairs = [(pack_sym(assign[a]), pack_sym(assign[b]))
+                     for a, b in word.tail]
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]} has no generator assigned")
         return GElement._wrap(_eval_left_normed(head, pairs))
@@ -183,12 +184,20 @@ def eval_word(word: Word3 | LeftNormedWord, assign: Mapping[int, int]):
     raise TypeError(f"cannot evaluate {type(word).__name__}")
 
 
-def _eval_left_normed(head_gen: int, pair_gens: Sequence[tuple[int, int]]) -> dict:
-    value = {1 << pack_sym(head_gen): 1}
-    for a, b in pair_gens:
+def _eval_left_normed(head: int, pairs: Sequence[tuple[int, int]],
+                      derivs: dict | None = None) -> dict:
+    """The term dict of the chain ((..((head, a1, b1), a2, b2)..)), with
+    ``head`` and each pair's letters given as packed symbols.
+
+    A vanishing prefix stops the chain.  Every step is
+    ``_kernel.assoc_step``, passed ``derivs`` as its memo of Leibniz
+    summands.
+    """
+    value = {1 << head: 1}
+    for a, b in pairs:
         if not value:
             return value
-        value = _kernel.assoc_step(value, pack_sym(a), pack_sym(b))
+        value = _kernel.assoc_step(value, a, b, derivs)
     return value
 
 

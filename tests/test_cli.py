@@ -67,14 +67,20 @@ def test_h_over_cap_is_usage_error():
 
 
 def test_past_cap_warns_in_one_line():
-    # every command that takes --unsafe-n says so when a run goes past the cap
-    for args in (("h", "--type", "7,1"), ("cn", "--n", "8", "--type", "7,1"),
-                 ("verify", "--suite", "identities", "--n", "8",
-                  "--samples", "2"),
-                 ("dim", "--n", "8")):
+    # every command that takes --unsafe-n says so when a run goes past the
+    # cap, naming the cap of its scope: a type's letters and weight, or n
+    for args, bound in (
+            (("h", "--type", "7,1"), "letters <= 7, weight <= 13"),
+            (("h", "--type", "1,7"), "letters <= 7, weight <= 13"),
+            (("cn", "--n", "8", "--type", "7,1"),
+             "letters <= 7, weight <= 13"),
+            (("verify", "--suite", "identities", "--n", "8",
+              "--samples", "2"), "n <= 7"),
+            (("dim", "--n", "8"), "n <= 7")):
         proc = run_cli(*args, "--unsafe-n")
         assert len(proc.stderr.splitlines()) == 1, (args, proc.stderr)
-        assert proc.stderr.startswith("cml3: "), args
+        assert proc.stderr == (f"cml3: past the verified range ({bound}); "
+                               "the result is unverified\n"), args
     assert proc.stdout.endswith("total=4760\n")  # dim --n 8, run last
 
 
@@ -122,6 +128,20 @@ def test_words_past_the_top_derivation_order_are_rejected():
         _one_line_usage_error(proc)
         assert "derivation steps" in proc.stderr, args
         assert proc.stdout == "", args
+
+
+def test_verify_past_the_generator_limit_is_rejected():
+    # one line and exit 2 before the unverified warning: a symbol holds
+    # generators 0..4095
+    for suite in ("cml3", "identities"):
+        proc = run_cli("verify", "--suite", suite, "--n", "4097",
+                       "--unsafe-n", check=False)
+        _one_line_usage_error(proc)
+        assert "4,096 generators" in proc.stderr, suite
+        assert proc.stdout == "", suite
+    proc = run_cli("verify", "--suite", "identities", "--n", "4096",
+                   "--unsafe-n", "--samples", "2")
+    assert proc.stdout.splitlines()[-1] == "pass=true"
 
 
 def test_identities_past_64_generators():
@@ -647,8 +667,10 @@ def test_tracer_hooks_still_apply(tmp_path):
     for args, recorded in (
         (("h", "--type", "5,2", "--json"),
          {"cli.handler", "words.h", "kernel.assoc_step"}),
+        # associator_rewrite's trees wedge and derive
         (("verify", "--suite", "identities", "--n", "4", "--samples", "5",
-          "--json"), {"cli.handler", "kernel.assoc_step"}),
+          "--json"), {"cli.handler", "kernel.assoc_step",
+                      "kernel.wedge_terms", "kernel.derive_terms"}),
         # the pair model multiplies bit-planes, with no kernel op
         (("verify", "--suite", "malbos", "--n", "6", "--samples", "5",
           "--json"), {"cli.handler"}),

@@ -207,46 +207,31 @@ def test_suites_reject_n_below_one(suite, n):
         suite(n, 5, 0)
 
 
-def _stored_prefixes(chain):
-    """(head, pairs, terms) of every trie node of a ``_ChainMemo``, read
-    from its packed path; a node's parent must be stored too."""
-    for node, terms in chain.prefixes.items():
-        if node.bit_length() > 17:
-            assert node >> 32 in chain.prefixes
-        pairs = []
-        while node.bit_length() > 17:
-            pairs.append((_kernel.sym_base(node >> 16 & 0xFFFF),
-                          _kernel.sym_base(node & 0xFFFF)))
-            node >>= 32
-        yield _kernel.sym_base(node & 0xFFFF), tuple(reversed(pairs)), terms
-
-
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_chain_memo_matches_eval_word(n):
-    from cml3.loop import _ChainMemo, _ident
-    from cml3.words import LeftNormedWord, eval_word
+    # the suite's chain evaluator, on one dict of Leibniz summands as in
+    # one suite call, against eval_word and the twisted associator
+    from cml3.words import LeftNormedWord, _eval_left_normed, eval_word
 
     rng = random.Random(n)
-    # two memos on one dict of Leibniz summands, as in one suite call
     derivs = {}
     syms = [_kernel.pack_sym(g) for g in range(n)]
-    chains = [_ChainMemo(derivs, syms), _ChainMemo(derivs, syms)]
     vanished = 0
     for _ in range(150):
-        # few letters and repeated ones make shared and vanishing prefixes
+        # few letters and repeated ones make vanishing chains
         head = rng.randrange(n)
         pairs = tuple((rng.randrange(n), rng.randrange(n))
                       for _ in range(rng.randrange(5)))
-        expected = eval_word(LeftNormedWord(head, pairs), _ident).raw()
-        rng.shuffle(chains)
-        for chain in chains:
-            assert chain(head, pairs) == expected
-            assert chain(head, list(pairs)) == expected
+        expected = eval_word(LeftNormedWord(head, pairs),
+                             {g: g for g in range(n)})
+        got = _eval_left_normed(syms[head],
+                                [(syms[a], syms[b]) for a, b in pairs], derivs)
+        assert GElement._wrap(got) == expected
+        value = g(head)
+        for a, b in pairs:
+            value = associator(value, g(a), g(b))
+        assert value == expected
         vanished += not expected
-    for chain in chains:
-        for head, prefix, terms in _stored_prefixes(chain):
-            expected = eval_word(LeftNormedWord(head, prefix), _ident)
-            assert GElement._wrap(terms) == expected
     assert vanished
     assert derivs or n == 1
 
@@ -284,8 +269,8 @@ def test_identities_fail_on_a_corrupted_step(monkeypatch):
 
 
 def test_identities_make_every_step(monkeypatch):
-    # each orbit's first tuple steps every chain past its longest prefix
-    # already stepped; with every tuple its own orbit, every tuple does
+    # each orbit's first tuple steps each of its chains up to the first
+    # vanishing prefix; with every tuple its own orbit, every tuple does
     calls = 0
     step = _kernel.assoc_step
 
@@ -296,11 +281,11 @@ def test_identities_make_every_step(monkeypatch):
 
     monkeypatch.setattr(_kernel, "assoc_step", counted)
     assert report_passed(verify_identities(7, 1000, 5))
-    assert calls == 8_928
+    assert calls == 14_448
     calls = 0
     _unshared(monkeypatch)
     assert report_passed(verify_identities(7, 1000, 5))
-    assert calls == 40_432
+    assert calls == 76_532
 
 
 def _entries(report):
@@ -322,7 +307,7 @@ def test_schema_soundness_fails_on_a_corrupted_term(monkeypatch):
 
 
 def test_associator_rewrite_fails_on_a_corrupted_wedge(monkeypatch):
-    # the inner associators are memoised per call, from the patched kernel
+    # the trees are evaluated by words._eval_tree, from the patched kernel
     monkeypatch.setattr(_kernel, "wedge_terms",
                         flip_first_coefficient(_kernel.wedge_terms))
     entry = _entries(verify_identities(4, 20, 0))["associator_rewrite"]
@@ -330,10 +315,30 @@ def test_associator_rewrite_fails_on_a_corrupted_wedge(monkeypatch):
     assert "witness" in entry
 
 
+@pytest.mark.parametrize("identity,r,k,term,mode", [
+    # coefficient 2 flipped to 1: the two chains add instead of cancelling
+    ("chain_slot_symmetry", 0, 1, (1, 0, ((1, 3), (3, 2), (2, 4))),
+     "sampled"),
+    # the pair (i, a) swapped: one of the six terms changes sign
+    ("triple_slot_linearized", 0, 0, (1, 0, ((4, 1), (2, 5), (3, 6))),
+     "sampled"),
+    # a flipped coefficient in a second relation, checked after the first
+    ("chain_skew_xyz", 1, 1, (2, 0, ((3, 2), (2, 1))), "exhaustive"),
+])
+def test_identity_table_fails_on_a_corrupted_entry(monkeypatch, identity, r,
+                                                   k, term, mode):
+    relations = list(loop.CHAIN_IDENTITIES[identity])
+    assert term != relations[r][k]
+    relations[r] = relations[r][:k] + (term,) + relations[r][k + 1:]
+    monkeypatch.setitem(loop.CHAIN_IDENTITIES, identity, tuple(relations))
+    report = verify_identities(7, 60, 0)
+    assert [e["identity"] for e in report if not e["pass"]] == [identity]
+    assert _entries(report)[identity]["witness"].startswith(f"{mode}(")
+
+
 def test_compiled_schemas_match_the_string_patterns(monkeypatch):
     # each schema on 200 seeded tuples over 3 generators, so letters
-    # repeat; every tuple computed, so each adds its chains
-    from cml3.loop import _ident, _schema_soundness
+    # repeat; the suite's checker on each, so each adds its chains
     from cml3.schemas import SCHEMAS
     from cml3.words import LeftNormedWord, eval_word
 
@@ -351,13 +356,15 @@ def test_compiled_schemas_match_the_string_patterns(monkeypatch):
         return add_into(total, terms, coeff)
 
     monkeypatch.setattr(loop, "_add_into", recorded)
-    _unshared(monkeypatch)
     syms = [_kernel.pack_sym(g) for g in range(3)]
-    entry = _schema_soundness(
-        lambda arity: (tuples[arity], "sampled",
-                       [loop._orbit_key(t) for t in tuples[arity]]), {}, syms)
-    assert entry["pass"]
+    derivs = {}
+    for schema in SCHEMAS.values():
+        relations = loop._schema_relations(schema)
+        assert loop._arity(relations) == len(schema.letters) + 1
+        for t in tuples[len(schema.letters) + 1]:
+            assert loop._vanishes(relations, [syms[g] for g in t], derivs)
     # the string patterns: a letter dict per tuple, every chain by eval_word
+    identity = {g: g for g in range(3)}
     expected = []
     skipped = 0
     for schema in SCHEMAS.values():
@@ -369,7 +376,7 @@ def test_compiled_schemas_match_the_string_patterns(monkeypatch):
                 if any(a == b for a, b in pairs):
                     skipped += 1
                     continue
-                value = eval_word(LeftNormedWord(t[0], pairs), _ident)
+                value = eval_word(LeftNormedWord(t[0], pairs), identity)
                 expected.append((coeff, value.raw()))
                 total = total + value.scale(coeff)
             assert not total
@@ -408,6 +415,34 @@ def test_exponent3_counts_the_elements_of_every_triple():
         "7 instantiation(s)")
     assert _entries(verify_cml3(7, 6, 62))["exponent3"]["instantiation"] == (
         "20 instantiation(s)")
+
+
+def test_cml3_walks_the_generator_triples(monkeypatch, cold_memo):
+    # the n^3 generator triples are walked, never stored: a warm run at
+    # n = 24 peaks far below the 5 MiB its lists of them took
+    import tracemalloc
+
+    verify_cml3(24, 0, 0)
+    tracemalloc.start()
+    try:
+        report = verify_cml3(24, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report_passed(report)
+    assert peak < 2**20
+    # generator i first appears in the triple (0, 0, i), its label
+    gen2 = loop_generator(2).value
+
+    def corrupted(x, y):
+        out = cmul(x, y)
+        return out + g(9) if x == y == gen2 else out
+
+    monkeypatch.setattr(loop, "cmul", corrupted)
+    lmul.cache_clear()
+    assert [e for e in verify_cml3(5, 0, 0) if not e["pass"]] == [{
+        "identity": "exponent3", "instantiation": "5 instantiation(s)",
+        "pass": False, "witness": "gen(0,0,2)"}]
 
 
 MALBOS_ONE = ({}, {})
