@@ -11,14 +11,15 @@ element is a tuple ``(x1, x2)`` of odd components: ``malbos_mul`` takes
 term dicts, and ``malbos_verify`` samples and multiplies GF(3) bit-planes
 ``(ones, twos)`` over the 64 monomials on at most six generators.
 
-All checks run on exact arithmetic, and failures carry the instantiation
-as a witness.  The loop is free on its generators, so a permutation of
-them extends to an automorphism of the twisted algebra that commutes with
-``d``, and a check built from its operations gives one verdict on a whole
-relabelling orbit of generator tuples.  So the suites check a generator
-tuple once per orbit, keyed by ``_orbit_key``: the first tuple of each
-key in the run's order is computed, and each later one takes its
-verdict.  A reported pass is a proof for every instantiation: the
+All checks run on exact arithmetic, and a failure carries its first
+failing instantiation as a witness.  The loop is free on its generators,
+so a permutation of them extends to an automorphism of the twisted
+algebra that commutes with ``d``, and a check built from its operations
+gives one verdict on a whole relabelling orbit of generator tuples.  So
+the suites compute one tuple per orbit: ``_orbits`` lists the first tuple
+of each orbit in product order, a walk that does not grow with the
+number of generators, and a sampled identity keeps the first draw of each
+``_orbit_key``.  A reported pass is a proof for every instantiation: the
 orbit's computation, carried to the others by the automorphism.
 
 Loop products are memoised by value in ``lmul`` (a bounded LRU cache), so
@@ -84,11 +85,9 @@ LOOP_ONE = LoopElement(GElement.one())
 # the sampled loop words).  Short runs never fill 1024 entries: verify
 # --suite cml3 --samples 6 makes 439 calls with 190 misses (n 6, seed 427)
 # and 371 with 190 (n 7, seed 62), and mainid --mode loop --samples 1 399
-# with 265, as many as with 16384 entries.  (Checking all n^3 generator
-# triples, the first two made 4,026 and 6,117 calls, and 16384 entries
-# saved at most 3% of their products but peaked 0.1-1.4 MB higher, cold
-# on 2 vCPUs.)  A long run outgrows 1024 entries: verify_cml3(7, 500) has
-# 10,359 hits in 20,745 calls, against 13,161 with 16384 entries.
+# with 265, as many as with 16384 entries.  A long run outgrows 1024
+# entries: verify_cml3(7, 500) has 10,359 hits in 20,745 calls, against
+# 13,161 with 16384 entries.
 LMUL_MEMO_SIZE = 1024
 
 
@@ -169,14 +168,14 @@ def sample_nilpotent(rng: random.Random, n: int, depth: int = 2) -> GElement:
 # verification reports
 # ---------------------------------------------------------------------------
 
-def _entry(identity: str, instantiations: int, failures: list) -> dict:
+def _entry(identity: str, instantiations: int, witness: str | None) -> dict:
     entry = {
         "identity": identity,
         "instantiation": f"{instantiations} instantiation(s)",
-        "pass": not failures,
+        "pass": witness is None,
     }
-    if failures:
-        entry["witness"] = failures[0]
+    if witness is not None:
+        entry["witness"] = witness
     return entry
 
 
@@ -196,36 +195,32 @@ def _orbit_key(t: tuple) -> tuple:
     return tuple([first.setdefault(g, len(first)) for g in t])
 
 
-def _failures_over(labeled, check, keys=None):
-    """Labels failing a predicate, preserving instantiation order.
+def _orbits(n: int, k: int) -> list[tuple]:
+    """The first tuple of each relabelling orbit of the k-tuples of n
+    generators, in product order: the tuples that are their own
+    ``_orbit_key``.  One holds at most k letters, so the walk over
+    min(n, k) generators meets them all."""
+    return [t for t in itertools.product(range(min(n, k)), repeat=k)
+            if _orbit_key(t) == t]
 
-    ``keys``, if given, holds one orbit key per item (``_orbit_key`` of
-    its generator tuple), or None for an item that is no generator tuple.
-    The check runs on the first item of each key, and every later item
-    with that key takes its verdict.
-    """
-    if keys is None:
-        return [lab for lab, x in labeled if not check(x)]
-    verdicts: dict = {}
-    failures = []
-    for (lab, x), key in zip(labeled, keys, strict=True):
-        ok = verdicts.get(key)
-        if ok is None:
-            ok = check(x)
-            if key is not None:
-                verdicts[key] = ok
-        if not ok:
-            failures.append(lab)
-    return failures
+
+def _first_failure(labeled, check):
+    """The label of the first item failing ``check``, or None.  Every item
+    is checked, so an exception a later one raises still propagates."""
+    first = None
+    for label, x in labeled:
+        if not check(x) and first is None:
+            first = label
+    return first
 
 
 def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     """Check the loop axioms on generator triples plus seeded loop words.
 
     Covers commutativity, the Moufang identity, exponent 3, and the
-    exponent 3 of associators.  The generator triples are walked, never
-    stored, and checked once per relabelling orbit; exponent 3 runs on
-    every distinct element of all the triples.
+    exponent 3 of associators.  The n^3 generator triples are checked
+    once per relabelling orbit; exponent 3 runs on every distinct element
+    of all the triples.
     """
     _require_generators(n)
     rng = random.Random(seed)
@@ -236,15 +231,8 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         for s in range(samples)
     ]
     count = n**3 + samples
-
-    def labeled():
-        for i, j, k in itertools.product(range(n), repeat=3):
-            yield f"gen({i},{j},{k})", (gens[i], gens[j], gens[k])
-        yield from sampled
-
-    def keys():
-        yield from map(_orbit_key, itertools.product(range(n), repeat=3))
-        yield from itertools.repeat(None, samples)
+    labeled = [(f"gen({i},{j},{k})", (gens[i], gens[j], gens[k]))
+               for i, j, k in _orbits(n, 3)] + sampled
 
     report = []
 
@@ -253,7 +241,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         return lmul(u, v).value == lmul(v, u).value
 
     report.append(_entry(
-        "commutativity", count, _failures_over(labeled(), commutes, keys()),
+        "commutativity", count, _first_failure(labeled, commutes),
     ))
 
     def moufang(t):
@@ -264,7 +252,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
         return left.value == right.value
 
     report.append(_entry(
-        "moufang", count, _failures_over(labeled(), moufang, keys())
+        "moufang", count, _first_failure(labeled, moufang)
     ))
 
     # generator i first appears in the triple (0, 0, i)
@@ -279,7 +267,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     report.append(_entry(
         "exponent3", len(elements),
-        _failures_over(elements, cubes_to_one),
+        _first_failure(elements, cubes_to_one),
     ))
 
     def assoc_cubes_to_one(t):
@@ -288,7 +276,7 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     report.append(_entry(
         "associator_exponent3", count,
-        _failures_over(labeled(), assoc_cubes_to_one, keys()),
+        _first_failure(labeled, assoc_cubes_to_one),
     ))
 
     return report
@@ -300,17 +288,23 @@ EXHAUSTIVE_CAP = 10_000
 
 
 def _instantiation_tuples(n: int, arity: int, samples: int, seed: int):
+    """The tuples an identity of ``arity`` letters is computed on, its
+    mode, and the number of instantiations they stand for.  An exhaustive
+    identity takes the first tuple of each relabelling orbit, a sampled
+    one the first seeded draw of each."""
     if n**arity <= EXHAUSTIVE_CAP:
-        return list(itertools.product(range(n), repeat=arity)), "exhaustive"
+        return _orbits(n, arity), "exhaustive", n**arity
     if samples < 1:
         # a check over no tuple would pass vacuously
         raise ValueError(
             f"{arity}-letter identities on {n} generators are sampled; "
             f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
-    return [
-        tuple(rng.randrange(n) for _ in range(arity)) for _ in range(samples)
-    ], "sampled"
+    firsts: dict = {}
+    for _ in range(samples):
+        t = tuple(rng.randrange(n) for _ in range(arity))
+        firsts.setdefault(_orbit_key(t), t)
+    return list(firsts.values()), "sampled", samples
 
 
 def _add_into(total: dict, terms: dict, coeff: int = 1) -> dict:
@@ -427,17 +421,16 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
 
     @functools.cache
     def draw(arity):
-        tuples, mode = _instantiation_tuples(n, arity, samples, seed)
-        return tuples, mode, [_orbit_key(t) for t in tuples]
+        return _instantiation_tuples(n, arity, samples, seed)
 
     derivs: dict = {}
     syms = [pack_sym(g) for g in range(n)]
 
     def failing(arity, holds, label=""):
-        """The tuple count of one check and the labels of its failures."""
-        tuples, mode, keys = draw(arity)
-        failures = _failures_over(zip(tuples, tuples), holds, keys)
-        return len(tuples), [f"{label}{mode}{t}" for t in failures]
+        """The instantiation count of one check and its first failure."""
+        tuples, mode, count = draw(arity)
+        t = _first_failure(zip(tuples, tuples), holds)
+        return count, None if t is None else f"{label}{mode}{t}"
 
     def vanishing(relations, label=""):
         return failing(_arity(relations), lambda t: _vanishes(
@@ -455,12 +448,12 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
         chains("triple_slot_linearized"),
         _entry("associator_derivation_shortcut", *failing(3, _shortcut_holds)),
     ]
-    checked, failures = 0, []
+    checked, witness = 0, None
     for name, schema in SCHEMAS.items():
-        count, labels = vanishing(_schema_relations(schema), f"{name}:")
+        count, first = vanishing(_schema_relations(schema), f"{name}:")
         checked += count
-        failures += labels
-    report.append(_entry("relation_schema_soundness", checked, failures))
+        witness = witness or first
+    report.append(_entry("relation_schema_soundness", checked, witness))
     return report
 
 
@@ -519,28 +512,21 @@ def mainid_check(mode: str, samples: int = 100, seed: int = 0) -> list[dict]:
         total = GElement.zero()
         for coeff, value in zip(MAINID_COEFFS, values):
             total = total + value.scale(coeff)
-        failures = [] if not total else ["canonical generators"]
-        return [_entry("mainid_algebra_combination", 1, failures)]
+        witness = "canonical generators" if total else None
+        return [_entry("mainid_algebra_combination", 1, witness)]
     if mode == "loop":
         rng = random.Random(seed)
         instantiations = [
             ("generators", tuple(loop_generator(i) for i in range(7)))
         ]
-        for s in range(samples):
-            instantiations.append(
-                (
-                    f"sample({s})",
-                    tuple(
-                        sample_loop_element(rng, 7, rng.randrange(3))
-                        for _ in range(7)
-                    ),
-                )
-            )
-        failures = []
-        for label, args in instantiations:
-            if not _mainid_loop_value(*args).is_one():
-                failures.append(label)
-        return [_entry("mainid_loop_product", len(instantiations), failures)]
+        instantiations += [
+            (f"sample({s})", tuple(sample_loop_element(rng, 7, rng.randrange(3))
+                                   for _ in range(7)))
+            for s in range(samples)
+        ]
+        witness = _first_failure(
+            instantiations, lambda args: _mainid_loop_value(*args).is_one())
+        return [_entry("mainid_loop_product", len(instantiations), witness)]
     raise ValueError(f"unknown mode: {mode!r}")
 
 
@@ -711,13 +697,13 @@ def malbos_verify(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     return [
         _entry("malbos_commutativity", max(0, (len(pairs) - 1) // 2),
-               _failures_over(couples, commutes)),
+               _first_failure(couples, commutes)),
         # reports (pairs-2)//3 of ceil((pairs-2)/3) triples, as
         # perfbench/oracle.py pins
         _entry("malbos_moufang", max(0, (len(pairs) - 2) // 3),
-               _failures_over(triples, moufang)),
+               _first_failure(triples, moufang)),
         _entry("malbos_exponent3", len(pairs),
-               _failures_over(singles, lambda p: mul(mul(p, p), p) == one)),
+               _first_failure(singles, lambda p: mul(mul(p, p), p) == one)),
         _entry("malbos_identity_element", min(10, len(pairs)),
-               _failures_over(singles[:10], lambda p: mul(p, one) == p)),
+               _first_failure(singles[:10], lambda p: mul(p, one) == p)),
     ]

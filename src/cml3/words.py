@@ -343,9 +343,9 @@ def c_n_of_type(n: int, a: TypeVector | Iterable[int] | str) -> int:
     h = h_of_type(tv)
     if h == 0:
         return 0
-    denom = math.prod(math.factorial(c) for c in tv.counts)
-    denom *= math.factorial(n - tv.letters)
-    return (math.factorial(n) // denom) * h
+    # n! / ((n - letters)! prod counts!), without n!
+    choices = math.perm(n, tv.letters)
+    return choices // math.prod(math.factorial(c) for c in tv.counts) * h
 
 
 def _partitions(m: int, max_part: int):

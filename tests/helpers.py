@@ -1,5 +1,6 @@
-"""Shared seeded samplers for the test suite."""
+"""Shared seeded samplers and reference modes for the test suite."""
 
+import itertools
 import random
 
 from cml3._kernel import pack_sym, positions, sym_base, sym_der
@@ -97,3 +98,37 @@ def flip_first_coefficient(op):
             break
         return out
     return flipped
+
+
+def every_tuple(monkeypatch):
+    """The reference mode of the loop suites: every generator tuple
+    computed.  ``loop._orbits`` lists all n^k tuples in product order, and
+    ``loop._orbit_key`` gives each sampled draw its own key."""
+    from cml3 import loop
+
+    monkeypatch.setattr(loop, "_orbits", lambda n, k: list(
+        itertools.product(range(n), repeat=k)))
+    monkeypatch.setattr(loop, "_orbit_key", lambda t: object())
+
+
+def record_checks(monkeypatch):
+    """A list that gets, for each ``loop._first_failure`` call, the
+    ``(item, ok)`` verdicts of the items it checks, in order."""
+    from cml3 import loop
+
+    run = loop._first_failure
+    calls = []
+
+    def recorded(labeled, check):
+        verdicts = []
+        calls.append(verdicts)
+
+        def noted(x):
+            ok = check(x)
+            verdicts.append((x, ok))
+            return ok
+
+        return run(labeled, noted)
+
+    monkeypatch.setattr(loop, "_first_failure", recorded)
+    return calls

@@ -144,6 +144,16 @@ def test_verify_past_the_generator_limit_is_rejected():
     assert proc.stdout.splitlines()[-1] == "pass=true"
 
 
+def test_cml3_generator_half_at_the_generator_limit():
+    # the generator triples are checked once per orbit, so n = 4096 is
+    # quick; the sampled loop words are not, hence no samples
+    proc = run_cli("verify", "--suite", "cml3", "--n", "4096",
+                   "--samples", "0", "--unsafe-n")
+    assert "identity=commutativity instantiations=68719476736 pass=true" in (
+        proc.stdout.splitlines())
+    assert proc.stdout.splitlines()[-1] == "pass=true"
+
+
 def test_identities_past_64_generators():
     proc = run_cli("verify", "--suite", "identities", "--n", "70",
                    "--unsafe-n", "--samples", "2")
@@ -178,6 +188,9 @@ def test_cn_command():
     assert run_cli("cn", "--n", "7", "--type", "5,2").stdout == "type=5,2 n=7 c=126\n"
     # more letters than generators short-circuits to zero, no cap error
     assert run_cli("cn", "--n", "7", "--type", "9,9").stdout == "type=9,9 n=7 c=0\n"
+    # the multinomial takes no n!: a million generators count at once
+    assert run_cli("cn", "--n", "1000000", "--type", "3").stdout == (
+        "type=3 n=1000000 c=166666166667000000\n")
 
 
 def test_types_command():

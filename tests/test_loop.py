@@ -3,9 +3,11 @@ import random
 import pytest
 from helpers import (
     dict_sample_odd,
+    every_tuple,
     flip_first_coefficient,
     plane_terms,
     random_homogeneous,
+    record_checks,
     terms_plane,
 )
 
@@ -236,11 +238,6 @@ def test_chain_memo_matches_eval_word(n):
     assert derivs or n == 1
 
 
-def _unshared(monkeypatch):
-    """Every instantiation its own orbit key, so each tuple is computed."""
-    monkeypatch.setattr(loop, "_orbit_key", lambda t: object())
-
-
 def _negated_on_a_repeated_letter(step):
     """``step`` negated when its first letter's generator is already in
     the chain: a fault that depends on no label, so a relabelling shows
@@ -264,13 +261,13 @@ def test_identities_fail_on_a_corrupted_step(monkeypatch):
     report = verify_identities(4, 20, 0)
     assert not report_passed(report)
     assert all("witness" in e for e in report if not e["pass"])
-    _unshared(monkeypatch)
+    every_tuple(monkeypatch)
     assert verify_identities(4, 20, 0) == report
 
 
 def test_identities_make_every_step(monkeypatch):
     # each orbit's first tuple steps each of its chains up to the first
-    # vanishing prefix; with every tuple its own orbit, every tuple does
+    # vanishing prefix; in the every-tuple reference mode, every tuple does
     calls = 0
     step = _kernel.assoc_step
 
@@ -283,7 +280,7 @@ def test_identities_make_every_step(monkeypatch):
     assert report_passed(verify_identities(7, 1000, 5))
     assert calls == 14_448
     calls = 0
-    _unshared(monkeypatch)
+    every_tuple(monkeypatch)
     assert report_passed(verify_identities(7, 1000, 5))
     assert calls == 76_532
 
@@ -392,20 +389,33 @@ def test_verify_identities_small():
     assert "associator_rewrite" in names
 
 
-def test_failures_over_keys_no_item():
+def test_failures_over_keys_no_item(monkeypatch):
     # malbos_verify checks list slices of its pairs, which cannot key a
-    # dict: only the orbit keys given, never the items, are keys
-    labeled = [("p", [1, 2]), ("q", [3]), ("r", [4, 5])]
-    assert loop._failures_over(labeled, lambda x: len(x) == 2) == ["q"]
+    # dict: the runner keys no item, checks every one and returns the
+    # first failing label
+    labeled = [("p", [1, 2]), ("q", [3]), ("r", [4, 5]), ("s", [6])]
     checked = []
 
     def check(x):
         checked.append(x)
         return len(x) == 2
 
-    # q takes p's verdict; r, with no key, is checked
-    assert loop._failures_over(labeled, check, [(0,), (0,), None]) == []
-    assert checked == [[1, 2], [4, 5]]
+    assert loop._first_failure(labeled, check) == "q"
+    assert checked == [x for _, x in labeled]
+    assert loop._first_failure(labeled[:1], check) is None
+
+    # on the orbits' first tuples, a check that depends on no label fails
+    # first where it does over every tuple
+    def first_distinct(n, k):
+        tuples = loop._orbits(n, k)
+        return loop._first_failure(zip(tuples, tuples),
+                                   lambda t: len(set(t)) < k)
+
+    cases = [(2, 3), (4, 3), (5, 4), (3, 5)]
+    shared = [first_distinct(n, k) for n, k in cases]
+    assert shared == [None, (0, 1, 2), (0, 1, 2, 3), None]
+    every_tuple(monkeypatch)
+    assert [first_distinct(n, k) for n, k in cases] == shared
 
 
 def test_exponent3_counts_the_elements_of_every_triple():
@@ -418,8 +428,8 @@ def test_exponent3_counts_the_elements_of_every_triple():
 
 
 def test_cml3_walks_the_generator_triples(monkeypatch, cold_memo):
-    # the n^3 generator triples are walked, never stored: a warm run at
-    # n = 24 peaks far below the 5 MiB its lists of them took
+    # only the orbits' first triples are built: a warm run at n = 24
+    # peaks far below the 5 MiB a list of all n^3 triples took
     import tracemalloc
 
     verify_cml3(24, 0, 0)
@@ -443,6 +453,16 @@ def test_cml3_walks_the_generator_triples(monkeypatch, cold_memo):
     assert [e for e in verify_cml3(5, 0, 0) if not e["pass"]] == [{
         "identity": "exponent3", "instantiation": "5 instantiation(s)",
         "pass": False, "witness": "gen(0,0,2)"}]
+
+
+@pytest.mark.parametrize("n", [7, 60])
+def test_generator_half_does_not_grow_with_n(monkeypatch, n):
+    # one triple per orbit: 5 at any n >= 3; exponent 3 on each generator
+    calls = record_checks(monkeypatch)
+    report = verify_cml3(n, 0, 0)
+    assert report_passed(report)
+    assert [len(verdicts) for verdicts in calls] == [5, 5, n, 5]
+    assert report[0]["instantiation"] == f"{n ** 3} instantiation(s)"
 
 
 MALBOS_ONE = ({}, {})

@@ -7,9 +7,9 @@ automorphism of the exterior algebra that commutes with ``d``, so every
 kernel op commutes with it, and a suite check built from those ops gives
 a tuple and its relabelling the same verdict.  The tests below check that
 lemma on random inputs for each op and each product path, that the orbit
-keys split the tuples into orbits of the right sizes, and that the suites
-report the same with verdicts shared per orbit as with every tuple
-computed.
+keys split the tuples into orbits of the right sizes, that ``_orbits``
+lists the first tuple of each, and that the suites report the same with
+one tuple computed per orbit as with every tuple computed.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import math
 import random
 
 import pytest
-from helpers import flip_first_coefficient, relabel
+from helpers import every_tuple, flip_first_coefficient, record_checks, relabel
 
 from cml3 import _join, _kernel, _maskcore, loop, schemas
 from cml3._kernel import pack_sym, sym_base, sym_der
@@ -145,6 +145,14 @@ def test_orbit_sizes_cover_every_tuple(n, k):
         assert len(members) == math.perm(n, len(set(key)))
         assert all(len(set(zip(key, t))) == len(set(key)) for t in members)
     assert sum(map(len, orbits.values())) == n ** k
+    # _orbits lists those keys in order of first appearance
+    assert loop._orbits(n, k) == list(orbits)
+    assert sum(math.perm(n, len(set(t))) for t in loop._orbits(n, k)) == n ** k
+
+
+def test_orbits_do_not_grow_with_n():
+    assert loop._orbits(4096, 3) == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
 
 
 def test_orbit_counts_at_seven_generators():
@@ -157,25 +165,23 @@ def test_orbit_counts_at_seven_generators():
 
 
 # ---------------------------------------------------------------------------
-# the same reports with verdicts shared and with every tuple computed
+# the same reports with one tuple per orbit and with every tuple computed
 # ---------------------------------------------------------------------------
 
 def _shared_and_unshared(monkeypatch, suite, *args):
-    """``suite(*args)`` with verdicts shared per orbit, then with every
-    tuple computed: each run's report and every check's failure list."""
-    entry = loop._entry
-    failures = []
+    """``suite(*args)`` with one tuple computed per orbit, then with every
+    tuple computed: each run's report and, per check, the items failing
+    it."""
+    calls = record_checks(monkeypatch)
 
-    def recorded(identity, instantiations, failing):
-        failures.append((identity, list(failing)))
-        return entry(identity, instantiations, failing)
+    def failing():
+        out = [[x for x, ok in verdicts if not ok] for verdicts in calls]
+        calls.clear()
+        return out
 
-    monkeypatch.setattr(loop, "_entry", recorded)
-    shared = suite(*args), failures[:]
-    failures.clear()
-    # every instantiation its own key: each tuple is computed
-    monkeypatch.setattr(loop, "_orbit_key", lambda t: object())
-    return shared, (suite(*args), failures)
+    shared = suite(*args), failing()
+    every_tuple(monkeypatch)
+    return shared, (suite(*args), failing())
 
 
 @pytest.mark.parametrize("n,samples,seed", [
@@ -205,10 +211,16 @@ def test_failures_equal_under_a_corrupted_schema(monkeypatch, n, samples):
     (coeff, pairs), *rest = bad.pos_terms
     object.__setattr__(bad, "pos_terms", ((3 - coeff, pairs), *rest))
     monkeypatch.setitem(schemas.SCHEMAS, "X", bad)
+    key = loop._orbit_key
     shared, unshared = _shared_and_unshared(
         monkeypatch, loop.verify_identities, n, samples, 0)
-    assert shared == unshared
+    assert shared[0] == unshared[0]
     (entry,) = [e for e in shared[0] if not e["pass"]]
     assert entry["witness"].startswith("X:")
-    (failing,) = [f for name, f in shared[1] if name == entry["identity"]]
-    assert len(failing) > 1
+    # one check fails, on the same orbits either way, and a failing orbit
+    # stands for more than one failing tuple
+    (i,) = [i for i, failed in enumerate(shared[1]) if failed]
+    assert [bool(failed) for failed in unshared[1]] == [
+        bool(failed) for failed in shared[1]]
+    assert set(map(key, unshared[1][i])) == set(map(key, shared[1][i]))
+    assert len(unshared[1][i]) > len(shared[1][i])

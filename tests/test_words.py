@@ -152,6 +152,20 @@ def test_c_n_examples():
     assert c_n_of_type(3, (3, 1)) == 0  # more letters than generators
 
 
+def test_c_n_matches_the_factorial_multinomial(monkeypatch):
+    # h stubbed to 2, so every candidate type is counted without its words
+    import math
+
+    from cml3 import words
+
+    monkeypatch.setattr(words, "h_of_type", lambda tv: 2)
+    for n in range(1, 10):
+        for tv in candidate_types(n):
+            denom = math.factorial(n - tv.letters)
+            denom *= math.prod(math.factorial(c) for c in tv.counts)
+            assert c_n_of_type(n, tv) == math.factorial(n) // denom * 2, (n, tv)
+
+
 # ---------------------------------------------------------------------------
 # type enumeration and dimensions
 # ---------------------------------------------------------------------------
