@@ -276,12 +276,7 @@ def _run_regular(args):
         f"universe={len(report.universe)} bound={report.bound}"
     ]
     if str(report.case) == "5,2":
-        assign = {i: i for i in range(7)}
-        rows_ = [
-            words.eval_word(twowords.to_left_normed(w, 0), assign).raw()
-            for w in report.regular
-        ]
-        conditional = gf3.rank_only(rows_)[0]
+        conditional = gf3.rank_only(twowords.word_values(report.regular))[0]
         results["conditional_bound"] = conditional
         lines.append(f"conditional_bound={conditional}")
     if args.cross_check:

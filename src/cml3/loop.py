@@ -26,14 +26,14 @@ Loop products are memoised by value in ``lmul`` (a bounded LRU cache), so
 a product a run has already made costs a lookup.  ``lmul(u, v)`` and
 ``lmul(v, u)`` are separate entries, so commutativity still computes both
 sides, and ``linv`` checks each distinct element it inverts the first
-time; a repeat reuses that verdict.  The chain identities are data,
-``CHAIN_IDENTITIES``, in the form the relation schemas of
-``cml3.schemas`` compile to, and one routine, ``_vanishes``, checks them
-all.  One call of ``verify_identities`` packs each generator's symbol
-once, keeps one ``derivs`` memo of Leibniz summands for every step and
-draws the tuples once per arity.  Chains are evaluated by
-``words._eval_left_normed`` and the trees of ``associator_rewrite`` by
-``words._eval_tree``, on raw term dicts, with no ``GElement`` or
+time; a repeat reuses that verdict.  The word-calculus identities are
+data, ``IDENTITIES``: relations of word trees over tuple positions, the
+form the relation schemas of ``cml3.schemas`` compile to, and one
+routine, ``_vanishes``, checks them all.  One call of
+``verify_identities`` packs each generator's symbol once, keeps one
+``derivs`` memo of Leibniz summands for every step and draws the tuples
+once per arity.  Every tree is evaluated by ``words._eval_tree``, the
+evaluator of ``eval_word``, on raw term dicts, with no ``GElement`` or
 ``Word3`` per instantiation; each step and each wedge goes through
 ``cml3._kernel``.  Call ``lmul.cache_clear()`` before patching a kernel.
 """
@@ -50,7 +50,8 @@ from ._kernel import pack_sym
 from ._value import Value
 from .grassmann import GElement, elem_mul
 from .twisted import associator, cmul
-from .words import LeftNormedWord, _eval_left_normed, _eval_tree, eval_word
+from .words import (LeftNormedWord, _chain, _collect_leaves, _eval_tree,
+                    eval_word)
 
 
 class NonInvertible(Exception):
@@ -321,34 +322,39 @@ def _add_into(total: dict, terms: dict, coeff: int = 1) -> dict:
     return total
 
 
-# The chain identities of the word calculus, as data.  An identity is a
-# tuple of relations, all of which must vanish; a relation is a GF(3)
-# combination of chains (coefficient, head position, pair positions),
-# read on an instantiation tuple t as the left-normed chain
-# ((..((t[head], t[i1], t[j1]), t[i2], t[j2])..)).  The relation schemas
-# compile to one relation each: head position 0, pair positions shifted
-# by one.
-CHAIN_IDENTITIES = {
+# The identities of the word calculus, as data.  An identity is a tuple
+# of relations, all of which must vanish; a relation is a GF(3)
+# combination of (coefficient, word tree), a tree's leaves read as
+# positions in an instantiation tuple t, so ((0, 1, 2), 2, 3) is the chain
+# ((t[0], t[1], t[2]), t[2], t[3]).  The relation schemas compile to one
+# relation each: head position 0, schema letter i at position i + 1.
+IDENTITIES = {
     # one-slot chain ((x,y,a),a,z): skew-symmetric in x, y, z; t = (x,y,a,z)
     "chain_skew_xyz": (
-        ((1, 0, ((1, 2), (2, 3))), (1, 1, ((0, 2), (2, 3)))),
-        ((1, 0, ((1, 2), (2, 3))), (1, 0, ((3, 2), (2, 1)))),
+        ((1, ((0, 1, 2), 2, 3)), (1, ((1, 0, 2), 2, 3))),
+        ((1, ((0, 1, 2), 2, 3)), (1, ((0, 3, 2), 2, 1))),
     ),
     # two-slot chain (((x,y,a),a,b),b,z): symmetric in the slot letters
     # a, b; t = (x,y,a,b,z)
     "chain_slot_symmetry": (
-        ((1, 0, ((1, 2), (2, 3), (3, 4))), (2, 0, ((1, 3), (3, 2), (2, 4)))),
+        ((1, (((0, 1, 2), 2, 3), 3, 4)), (2, (((0, 1, 3), 3, 2), 2, 4))),
     ),
     # ... and skew-symmetric in x, y, z
     "chain_skew_outer": (
-        ((1, 0, ((1, 2), (2, 3), (3, 4))), (1, 4, ((1, 2), (2, 3), (3, 0)))),
-        ((1, 0, ((1, 2), (2, 3), (3, 4))), (1, 1, ((0, 2), (2, 3), (3, 4)))),
+        ((1, (((0, 1, 2), 2, 3), 3, 4)), (1, (((4, 1, 2), 2, 3), 3, 0))),
+        ((1, (((0, 1, 2), 2, 3), 3, 4)), (1, (((1, 0, 2), 2, 3), 3, 4))),
+    ),
+    # ((x,y,z),a,b) = ((x,a,b),y,z) + (x,(y,a,b),z) + (x,y,(z,a,b));
+    # t = (x,y,z,a,b)
+    "associator_rewrite": (
+        ((1, ((0, 1, 2), 3, 4)), (2, ((0, 3, 4), 1, 2)),
+         (2, (0, (1, 3, 4), 2)), (2, (0, 1, (2, 3, 4)))),
     ),
     # ia.ja.pa = 0 on the chain head x; t = (x,i,j,p,a)
-    "triple_slot_vanishes": (((1, 0, ((1, 4), (2, 4), (3, 4))),),),
+    "triple_slot_vanishes": (((1, (((0, 1, 4), 2, 4), 3, 4)),),),
     # its full linearization; t = (x,i,j,p,a,b,c)
     "triple_slot_linearized": (tuple(
-        (1, 0, ((1, s1), (2, s2), (3, s3)))
+        (1, (((0, 1, s1), 2, s2), 3, s3))
         for s1, s2, s3 in itertools.permutations((4, 5, 6))),),
 }
 
@@ -356,47 +362,33 @@ CHAIN_IDENTITIES = {
 def _arity(relations) -> int:
     """The length of the tuples a relation list reads: one past its
     highest position."""
-    return 1 + max(max(head, *itertools.chain(*pairs))
-                   for relation in relations for _, head, pairs in relation)
+    leaves: list[int] = []
+    for relation in relations:
+        for _, tree in relation:
+            _collect_leaves(tree, leaves)
+    return 1 + max(leaves)
 
 
 def _vanishes(relations, syms: Sequence[int], derivs: dict) -> bool:
     """Whether every relation vanishes with position i at symbol ``syms[i]``.
 
-    A chain with a pair of equal letters is 0, so it is skipped.  Chains
-    run through ``words._eval_left_normed`` with ``derivs``.
+    Each tree runs through ``words._eval_tree`` with ``derivs``, so a
+    chain with a pair of equal letters is 0 with no step.
     """
     for relation in relations:
         total: dict = {}
-        for coeff, head, pairs in relation:
-            pair_syms = [(syms[i], syms[j]) for i, j in pairs
-                         if syms[i] != syms[j]]
-            if len(pair_syms) == len(pairs):
-                chain = _eval_left_normed(syms[head], pair_syms, derivs)
-                _add_into(total, chain, coeff)
+        for coeff, tree in relation:
+            _add_into(total, _eval_tree(tree, syms, derivs), coeff)
         if total:
             return False
     return True
 
 
 def _schema_relations(schema) -> tuple:
-    """A relation schema as an identity of one relation: the head at
-    position 0, schema letter i at position i + 1."""
-    return (tuple((coeff, 0, tuple((i + 1, j + 1) for i, j in pattern))
+    """A relation schema as an identity of one relation of chain trees:
+    the head at position 0, schema letter i at position i + 1."""
+    return (tuple((coeff, _chain(0, ((i + 1, j + 1) for i, j in pattern)))
                   for coeff, pattern in schema.pos_terms),)
-
-
-# ((x,y,z),a,b) = ((x,a,b),y,z) + (x,(y,a,b),z) + (x,y,(z,a,b)) as trees
-# of positions in t = (x,y,z,a,b): the left side, then the three terms
-_REWRITE = (((0, 1, 2), 3, 4),
-            ((0, 3, 4), 1, 2), (0, (1, 3, 4), 2), (0, 1, (2, 3, 4)))
-
-
-def _rewrite_holds(t: tuple) -> bool:
-    lhs, rhs, *rest = (_eval_tree(tree, t) for tree in _REWRITE)
-    for terms in rest:
-        _add_into(rhs, terms)
-    return lhs == rhs
 
 
 def _shortcut_holds(t: tuple) -> bool:
@@ -412,7 +404,7 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
     stays under the exhaustive cap, otherwise on seeded tuples; a failure
     reports the instantiation.  A sampled identity needs ``samples >= 1``:
     with none, ``ValueError`` is raised rather than a vacuous pass.  The
-    chain identities and the relation schemas are checked by
+    identities of ``IDENTITIES`` and the relation schemas are checked by
     ``_vanishes``, once per relabelling orbit of the tuples.
     """
     from .schemas import SCHEMAS
@@ -436,18 +428,10 @@ def verify_identities(n: int, samples: int = 500, seed: int = 0) -> list[dict]:
         return failing(_arity(relations), lambda t: _vanishes(
             relations, [syms[g] for g in t], derivs), label)
 
-    def chains(identity):
-        return _entry(identity, *vanishing(CHAIN_IDENTITIES[identity]))
-
-    report = [
-        chains("chain_skew_xyz"),
-        chains("chain_slot_symmetry"),
-        chains("chain_skew_outer"),
-        _entry("associator_rewrite", *failing(5, _rewrite_holds)),
-        chains("triple_slot_vanishes"),
-        chains("triple_slot_linearized"),
-        _entry("associator_derivation_shortcut", *failing(3, _shortcut_holds)),
-    ]
+    report = [_entry(name, *vanishing(relations))
+              for name, relations in IDENTITIES.items()]
+    report.append(
+        _entry("associator_derivation_shortcut", *failing(3, _shortcut_holds)))
     checked, witness = 0, None
     for name, schema in SCHEMAS.items():
         count, first = vanishing(_schema_relations(schema), f"{name}:")
@@ -470,16 +454,6 @@ def tah_witness() -> GElement:
     """
     word = LeftNormedWord(0, ((1, 6), (6, 2), (3, 4), (6, 5)))
     return eval_word(word, {i: i for i in range(7)})
-
-
-def _five_two_values() -> list[GElement]:
-    from . import twowords
-
-    assign = {i: i for i in range(7)}
-    return [
-        eval_word(twowords.to_left_normed(w, 0), assign)
-        for w in twowords.FIVE_TWO_WORDS
-    ]
 
 
 MAINID_COEFFS = (1, 1, 0, 2, 1, 1, 1)
@@ -508,10 +482,12 @@ def mainid_check(mode: str, samples: int = 100, seed: int = 0) -> list[dict]:
     identity element, on loop generators and on seeded loop words.
     """
     if mode == "algebra":
-        values = _five_two_values()
-        total = GElement.zero()
+        from . import twowords
+
+        total: dict = {}
+        values = twowords.word_values(twowords.FIVE_TWO_WORDS)
         for coeff, value in zip(MAINID_COEFFS, values):
-            total = total + value.scale(coeff)
+            _add_into(total, value, coeff)
         witness = "canonical generators" if total else None
         return [_entry("mainid_algebra_combination", 1, witness)]
     if mode == "loop":

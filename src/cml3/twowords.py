@@ -28,10 +28,11 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
+from ._kernel import pack_sym
 from ._value import Value
 from .gf3 import rank_only
 from .schemas import CASE_SETS, RELATION_SETS, SCHEMAS, RelationSchema
-from .words import LeftNormedWord, TypeVector, _as_type
+from .words import TypeVector, _as_type, _chain, _eval_tree
 
 
 def word_str(word: tuple[int, ...]) -> str:
@@ -58,9 +59,16 @@ def normalize(raw: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     return flat, sign
 
 
-def to_left_normed(word: tuple[int, ...], head: int) -> LeftNormedWord:
-    """The left-normed word this 2-word encodes, under the given head."""
-    return LeftNormedWord(head, tuple(zip(word[::2], word[1::2])))
+def word_values(two_words: Iterable[tuple[int, ...]]) -> list[dict]:
+    """The term dicts of 2-words under head letter 0, letter i read as
+    generator i: each word's chain tree through ``words._eval_tree``, with
+    one ``derivs`` memo."""
+    two_words = list(two_words)
+    syms = [pack_sym(i)
+            for i in range(1 + max(itertools.chain((0,), *two_words)))]
+    derivs: dict = {}
+    return [_eval_tree(_chain(0, zip(w[::2], w[1::2])), syms, derivs)
+            for w in two_words]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ weight at least 3 on too few letters) are skipped before any enumeration;
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
 from . import _kernel, gf3
@@ -67,6 +67,9 @@ class TypeVector(Value):
     @classmethod
     def parse(cls, text: str) -> "TypeVector":
         parts = [p.strip() for p in text.split(",")]
+        if not all(p.isascii() and p.isdigit() for p in parts if p):
+            # int() would also take "1_0", "+3", "٣"
+            raise ValueError(f"bad part in type vector: {text!r}")
         tv = cls.of(int(p) if p else 0 for p in parts)
         if not tv.counts:
             # every part empty or 0: no letter at all
@@ -166,51 +169,59 @@ class DimReport(Value):
 def eval_word(word: Word3 | LeftNormedWord, assign: Mapping[int, int]):
     """Evaluate a word with leaves mapped to generators through ``assign``.
 
-    Returns a ``cml3.grassmann.GElement``.  That module is imported here,
-    not at the top, so the word-span commands never load it.
+    A ``LeftNormedWord`` is evaluated as its chain tree (``_chain``); both
+    kinds go through ``_eval_tree``.  Returns a ``cml3.grassmann.GElement``.
+    That module is imported here, not at the top, so the word-span commands
+    never load it.
     """
     from .grassmann import GElement
 
     if isinstance(word, LeftNormedWord):
-        try:
-            head = pack_sym(assign[word.head])
-            pairs = [(pack_sym(assign[a]), pack_sym(assign[b]))
-                     for a, b in word.tail]
-        except KeyError as exc:
-            raise ValueError(f"letter {exc.args[0]} has no generator assigned")
-        return GElement._wrap(_eval_left_normed(head, pairs))
-    if isinstance(word, Word3):
-        return GElement._wrap(_eval_tree(word.tree, assign))
-    raise TypeError(f"cannot evaluate {type(word).__name__}")
+        tree = _chain(word.head, word.tail)
+    elif isinstance(word, Word3):
+        tree = word.tree
+    else:
+        raise TypeError(f"cannot evaluate {type(word).__name__}")
+    leaves: list[int] = []
+    _collect_leaves(tree, leaves)
+    try:
+        syms = {leaf: pack_sym(assign[leaf]) for leaf in leaves}
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]} has no generator assigned")
+    return GElement._wrap(_eval_tree(tree, syms))
 
 
-def _eval_left_normed(head: int, pairs: Sequence[tuple[int, int]],
-                      derivs: dict | None = None) -> dict:
-    """The term dict of the chain ((..((head, a1, b1), a2, b2)..)), with
-    ``head`` and each pair's letters given as packed symbols.
-
-    A vanishing prefix stops the chain.  Every step is
-    ``_kernel.assoc_step``, passed ``derivs`` as its memo of Leibniz
-    summands.
-    """
-    value = {1 << head: 1}
+def _chain(head, pairs: Iterable[tuple]):
+    """The tree of the left-normed chain ((..((head, a1, b1), a2, b2)..))."""
+    tree = head
     for a, b in pairs:
+        tree = (tree, a, b)
+    return tree
+
+
+def _eval_tree(tree, syms, derivs: dict | None = None) -> dict:
+    """The term dict of a word tree, leaf ``i`` read as the packed symbol
+    ``syms[i]``.
+
+    A node ``(u, a, b)`` whose last two children are leaves is one
+    ``_kernel.assoc_step``, passed ``derivs`` as its memo of Leibniz
+    summands; it is 0 without evaluating ``u`` when the two symbols are
+    equal, and without a step when ``u`` is 0.  So a chain with an equal
+    pair at any depth makes no step.  Any other node (u, v, w) is
+    d(u ^ v ^ w) by wedge and derive.
+    """
+    if isinstance(tree, int):
+        return {1 << syms[tree]: 1}
+    u, a, b = tree
+    if isinstance(a, int) and isinstance(b, int):
+        if syms[a] == syms[b]:
+            return {}
+        value = _eval_tree(u, syms, derivs)
         if not value:
             return value
-        value = _kernel.assoc_step(value, a, b, derivs)
-    return value
-
-
-def _eval_tree(tree, assign) -> dict:
-    if isinstance(tree, int):
-        try:
-            gen = assign[tree]
-        except KeyError:
-            raise ValueError(f"letter {tree} has no generator assigned")
-        return {1 << pack_sym(gen): 1}
-    u, v, w = (_eval_tree(child, assign) for child in tree)
-    product = _kernel.wedge_terms(_kernel.wedge_terms(u, v), w)
-    return _kernel.derive_terms(product)
+        return _kernel.assoc_step(value, syms[a], syms[b], derivs)
+    u, v, w = (_eval_tree(child, syms, derivs) for child in tree)
+    return _kernel.derive_terms(_kernel.wedge_terms(_kernel.wedge_terms(u, v), w))
 
 
 def _type_word_values(counts: tuple[int, ...]) -> list[dict]:

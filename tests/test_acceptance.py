@@ -26,12 +26,11 @@ from cml3.twowords import (
     catalog_order,
     pattern_predicates_case7,
     regular_words,
-    to_left_normed,
     word_str,
+    word_values,
 )
-from cml3.words import c_n_of_type, dim_Cn, enumerate_types, eval_word, h_of_type
+from cml3.words import c_n_of_type, dim_Cn, enumerate_types, h_of_type
 
-IDENT = {i: i for i in range(8)}
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -107,7 +106,7 @@ def test_criterion_3_c7_and_types():
 # -- criterion 4: the unique relation among the seven words -----------------
 
 def test_criterion_4_v_kernel_and_mainid():
-    rows = [eval_word(to_left_normed(w, 0), IDENT).raw() for w in FIVE_TWO_WORDS]
+    rows = word_values(FIVE_TWO_WORDS)
     res = rank_and_kernel(rows)
     kernel_ok = res.rank == 6 and res.kernel_basis == ((1, 1, 0, 2, 1, 1, 1),)
     algebra_doc = json.loads(_cli("mainid", "--mode", "algebra", "--json"))

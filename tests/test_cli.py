@@ -318,6 +318,22 @@ def test_empty_type_part_is_usage_error():
         assert proc.stdout == "", args
 
 
+def test_bad_type_part_is_usage_error():
+    # a part is ASCII digits after stripping spaces; int() alone would
+    # read "1_0" as 10 and "+3" as 3
+    for args in (("h", "--type", "1_0"), ("h", "--type", "+3"),
+                 ("h", "--type", "3.0"), ("h", "--type", "1,a"),
+                 ("h", "--type", "\u0663"), ("cn", "--n", "7", "--type", "5,-2")):
+        proc = run_cli(*args, check=False)
+        _one_line_usage_error(proc)
+        assert proc.stderr == (
+            "cml3: bad part in type vector: "
+            f"{args[args.index('--type') + 1]!r}\n")
+        assert proc.stdout == "", args
+    # spaces around a part are still stripped
+    assert run_cli("h", "--type", " 3").stdout == "type=3 h=1\n"
+
+
 def test_expect_missing_file_is_usage_error(tmp_path):
     proc = run_cli("h", "--type", "5,2", "--expect", str(tmp_path / "nope.txt"),
                    check=False)
@@ -535,16 +551,18 @@ def test_word_span_commands_load_neither_loop_nor_twowords():
 
 def test_word_span_commands_load_no_value_class_machinery():
     # no dataclasses (with inspect) and no cml3.grassmann; -S keeps site
-    # hooks from importing typing first
+    # hooks from importing typing first.  regular --case 5,2 evaluates its
+    # words on term dicts, with no GElement
     commands = [
         ["h", "--type", "5,2"],
         ["dim", "--n", "5"],
         ["types", "--n", "5"],
         ["cn", "--n", "5", "--type", "3,1"],
+        ["regular", "--case", "5,2"],
     ]
     modules = ["dataclasses", "inspect", "typing", "cml3.grassmann"]
     assert _modules_loaded(commands, {}, modules, ["-S"]) == (
-        [[]] * 5 + ["miss"])
+        [[]] * 6 + ["miss"])
 
 
 def test_no_command_loads_dataclasses():

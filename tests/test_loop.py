@@ -211,9 +211,9 @@ def test_suites_reject_n_below_one(suite, n):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_chain_memo_matches_eval_word(n):
-    # the suite's chain evaluator, on one dict of Leibniz summands as in
-    # one suite call, against eval_word and the twisted associator
-    from cml3.words import LeftNormedWord, _eval_left_normed, eval_word
+    # the suite's evaluator on chain trees, on one dict of Leibniz summands
+    # as in one suite call, against eval_word and the twisted associator
+    from cml3.words import LeftNormedWord, _chain, _eval_tree, eval_word
 
     rng = random.Random(n)
     derivs = {}
@@ -226,8 +226,7 @@ def test_chain_memo_matches_eval_word(n):
                       for _ in range(rng.randrange(5)))
         expected = eval_word(LeftNormedWord(head, pairs),
                              {g: g for g in range(n)})
-        got = _eval_left_normed(syms[head],
-                                [(syms[a], syms[b]) for a, b in pairs], derivs)
+        got = _eval_tree(_chain(head, pairs), syms, derivs)
         assert GElement._wrap(got) == expected
         value = g(head)
         for a, b in pairs:
@@ -267,7 +266,9 @@ def test_identities_fail_on_a_corrupted_step(monkeypatch):
 
 def test_identities_make_every_step(monkeypatch):
     # each orbit's first tuple steps each of its chains up to the first
-    # vanishing prefix; in the every-tuple reference mode, every tuple does
+    # vanishing prefix, and each node of the rewrite's trees whose last two
+    # children are distinct letters; in the every-tuple reference mode,
+    # every tuple does
     calls = 0
     step = _kernel.assoc_step
 
@@ -278,11 +279,11 @@ def test_identities_make_every_step(monkeypatch):
 
     monkeypatch.setattr(_kernel, "assoc_step", counted)
     assert report_passed(verify_identities(7, 1000, 5))
-    assert calls == 14_448
+    assert calls == 14_602
     calls = 0
     every_tuple(monkeypatch)
     assert report_passed(verify_identities(7, 1000, 5))
-    assert calls == 76_532
+    assert calls == 80_763
 
 
 def _entries(report):
@@ -314,20 +315,20 @@ def test_associator_rewrite_fails_on_a_corrupted_wedge(monkeypatch):
 
 @pytest.mark.parametrize("identity,r,k,term,mode", [
     # coefficient 2 flipped to 1: the two chains add instead of cancelling
-    ("chain_slot_symmetry", 0, 1, (1, 0, ((1, 3), (3, 2), (2, 4))),
+    ("chain_slot_symmetry", 0, 1, (1, (((0, 1, 3), 3, 2), 2, 4)),
      "sampled"),
     # the pair (i, a) swapped: one of the six terms changes sign
-    ("triple_slot_linearized", 0, 0, (1, 0, ((4, 1), (2, 5), (3, 6))),
+    ("triple_slot_linearized", 0, 0, (1, (((0, 4, 1), 2, 5), 3, 6)),
      "sampled"),
     # a flipped coefficient in a second relation, checked after the first
-    ("chain_skew_xyz", 1, 1, (2, 0, ((3, 2), (2, 1))), "exhaustive"),
+    ("chain_skew_xyz", 1, 1, (2, ((0, 3, 2), 2, 1)), "exhaustive"),
 ])
 def test_identity_table_fails_on_a_corrupted_entry(monkeypatch, identity, r,
                                                    k, term, mode):
-    relations = list(loop.CHAIN_IDENTITIES[identity])
+    relations = list(loop.IDENTITIES[identity])
     assert term != relations[r][k]
     relations[r] = relations[r][:k] + (term,) + relations[r][k + 1:]
-    monkeypatch.setitem(loop.CHAIN_IDENTITIES, identity, tuple(relations))
+    monkeypatch.setitem(loop.IDENTITIES, identity, tuple(relations))
     report = verify_identities(7, 60, 0)
     assert [e["identity"] for e in report if not e["pass"]] == [identity]
     assert _entries(report)[identity]["witness"].startswith(f"{mode}(")
@@ -335,9 +336,10 @@ def test_identity_table_fails_on_a_corrupted_entry(monkeypatch, identity, r,
 
 def test_compiled_schemas_match_the_string_patterns(monkeypatch):
     # each schema on 200 seeded tuples over 3 generators, so letters
-    # repeat; the suite's checker on each, so each adds its chains
+    # repeat; the suite's checker on each, recording every tree it
+    # evaluates, on generators, and every value it adds
     from cml3.schemas import SCHEMAS
-    from cml3.words import LeftNormedWord, eval_word
+    from cml3.words import LeftNormedWord, _chain, eval_word
 
     rng = random.Random(11)
     tuples = {
@@ -345,14 +347,25 @@ def test_compiled_schemas_match_the_string_patterns(monkeypatch):
                 for _ in range(200)]
         for arity in sorted({len(s.letters) + 1 for s in SCHEMAS.values()})
     }
-    added = []
+    recorded = []
+    eval_tree = loop._eval_tree
     add_into = loop._add_into
 
-    def recorded(total, terms, coeff=1):
-        added.append((coeff, dict(terms)))
+    def on_generators(tree, syms):
+        if isinstance(tree, int):
+            return _kernel.sym_base(syms[tree])
+        return tuple(on_generators(child, syms) for child in tree)
+
+    def evaluated(tree, syms, derivs=None):
+        recorded.append(on_generators(tree, syms))
+        return eval_tree(tree, syms, derivs)
+
+    def added(total, terms, coeff=1):
+        recorded.append((coeff, dict(terms)))
         return add_into(total, terms, coeff)
 
-    monkeypatch.setattr(loop, "_add_into", recorded)
+    monkeypatch.setattr(loop, "_eval_tree", evaluated)
+    monkeypatch.setattr(loop, "_add_into", added)
     syms = [_kernel.pack_sym(g) for g in range(3)]
     derivs = {}
     for schema in SCHEMAS.values():
@@ -363,22 +376,22 @@ def test_compiled_schemas_match_the_string_patterns(monkeypatch):
     # the string patterns: a letter dict per tuple, every chain by eval_word
     identity = {g: g for g in range(3)}
     expected = []
-    skipped = 0
+    degenerate = 0
     for schema in SCHEMAS.values():
         for t in tuples[len(schema.letters) + 1]:
             assign = dict(zip(schema.letters, t[1:]))
             total = GElement.zero()
             for coeff, pattern in schema.terms:
                 pairs = tuple((assign[a], assign[b]) for a, b in pattern)
-                if any(a == b for a, b in pairs):
-                    skipped += 1
-                    continue
                 value = eval_word(LeftNormedWord(t[0], pairs), identity)
-                expected.append((coeff, value.raw()))
+                if any(a == b for a, b in pairs):
+                    degenerate += 1
+                    assert not value
+                expected += [_chain(t[0], pairs), (coeff, value.raw())]
                 total = total + value.scale(coeff)
             assert not total
-    assert skipped and len(expected) > 1000
-    assert added == expected
+    assert degenerate and len(expected) > 2000
+    assert recorded == expected
 
 
 def test_verify_identities_small():

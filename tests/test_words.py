@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from cml3 import _kernel
+from cml3._kernel import pack_sym
 from cml3.gf3 import rank_and_kernel, rank_only
 from cml3.grassmann import GElement, derive, elem_mul
 from cml3.twisted import associator
@@ -9,6 +11,8 @@ from cml3.words import (
     LeftNormedWord,
     TypeVector,
     Word3,
+    _chain,
+    _eval_tree,
     c_n_of_type,
     candidate_types,
     dim_Cn,
@@ -112,6 +116,63 @@ def test_eval_coherence_on_random_trees():
     for _ in range(20):
         word = random_word3(rng, TypeVector.parse(rng.choice(["3,1", "5", "3,2"])))
         assert eval_word(word, IDENT) == direct(word.tree)
+
+
+def _counted_steps(monkeypatch):
+    calls = []
+    step = _kernel.assoc_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(_kernel, "assoc_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tree", [
+    # chains with the equal pair first, in the middle and last
+    _chain(0, ((1, 1), (2, 3), (4, 5))),
+    _chain(0, ((1, 2), (3, 3), (4, 5))),
+    _chain(0, ((1, 2), (3, 4), (5, 5))),
+    # Word3 trees with a node whose last two children are one letter
+    (0, (1, 2, 2), 3),
+    ((0, (1, 2, 3), 4), 5, 5),
+    (0, ((1, 2, 3), 4, 4), 5),
+    ((0, 1, (2, 3, 3)), 4, 5),
+])
+def test_equal_leaf_pair_is_zero_with_no_step(monkeypatch, tree):
+    calls = _counted_steps(monkeypatch)
+    syms = [pack_sym(i) for i in range(8)]
+    assert _eval_tree(tree, syms, {}) == {}
+    assert calls == []
+    assert not eval_word(Word3(tree), IDENT)
+    assert calls == []
+
+
+def test_leaf_pair_step_matches_wedge_and_derive(monkeypatch):
+    # random trees on random symbols, derived ones and shared ones among
+    # them, with one derivs memo: each node with two leaf children is an
+    # assoc_step, and equals d(u ^ a ^ b) as every other node is
+    def reference(tree, syms):
+        if isinstance(tree, int):
+            return {1 << syms[tree]: 1}
+        u, v, w = (reference(child, syms) for child in tree)
+        return _kernel.derive_terms(
+            _kernel.wedge_terms(_kernel.wedge_terms(u, v), w))
+
+    calls = _counted_steps(monkeypatch)
+    rng = random.Random(4)
+    derivs = {}
+    nonzero = 0
+    for _ in range(60):
+        word = random_word3(rng, rng.choice(["3,1", "5", "3,2", "5,1", "7"]))
+        syms = [pack_sym(rng.randrange(6), rng.randrange(3))
+                for _ in range(max(word.leaves()) + 1)]
+        expected = reference(word.tree, syms)
+        assert _eval_tree(word.tree, syms, derivs) == expected
+        nonzero += bool(expected)
+    assert nonzero > 10 and len(calls) > 60 and derivs
 
 
 # ---------------------------------------------------------------------------
