@@ -84,11 +84,11 @@ LOOP_ONE = LoopElement(GElement.one())
 # Products kept by the lmul memo.  The suites remake the same small
 # products many times over (repeated inverses, the factors mainid shares,
 # the sampled loop words).  Short runs never fill 1024 entries: verify
-# --suite cml3 --samples 6 makes 439 calls with 190 misses (n 6, seed 427)
-# and 371 with 190 (n 7, seed 62), and mainid --mode loop --samples 1 399
+# --suite cml3 --samples 6 makes 429 calls with 189 misses (n 6, seed 427)
+# and 359 with 188 (n 7, seed 62), and mainid --mode loop --samples 1 399
 # with 265, as many as with 16384 entries.  A long run outgrows 1024
-# entries: verify_cml3(7, 500) has 10,359 hits in 20,745 calls, against
-# 13,161 with 16384 entries.
+# entries: verify_cml3(7, 500) has 10,348 hits in 20,733 calls, against
+# 13,149 with 16384 entries.
 LMUL_MEMO_SIZE = 1024
 
 
@@ -220,8 +220,8 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
 
     Covers commutativity, the Moufang identity, exponent 3, and the
     exponent 3 of associators.  The n^3 generator triples are checked
-    once per relabelling orbit; exponent 3 runs on every distinct element
-    of all the triples.
+    once per relabelling orbit; exponent 3 counts every distinct element
+    of all the triples, with generator 0 computed for all n generators.
     """
     _require_generators(n)
     rng = random.Random(seed)
@@ -266,9 +266,11 @@ def verify_cml3(n: int, samples: int = 100, seed: int = 0) -> list[dict]:
     def cubes_to_one(u):
         return lmul(lmul(u, u), u).is_one()
 
+    # the generators are one relabelling orbit, computed once
+    computed = [elements[i] for (i,) in _orbits(n, 1)] + elements[n:]
     report.append(_entry(
         "exponent3", len(elements),
-        _first_failure(elements, cubes_to_one),
+        _first_failure(computed, cubes_to_one),
     ))
 
     def assoc_cubes_to_one(t):
@@ -456,39 +458,45 @@ def tah_witness() -> GElement:
     return eval_word(word, {i: i for i in range(7)})
 
 
-MAINID_COEFFS = (1, 1, 0, 2, 1, 1, 1)
+def _mainid_relation() -> tuple:
+    # cml3.schemas.FIVE_TWO_RELATION as chain trees under head letter 0
+    from .schemas import FIVE_TWO_RELATION
+
+    return tuple((coeff, _chain(0, zip(word[::2], word[1::2])))
+                 for coeff, word in FIVE_TWO_RELATION)
 
 
 def _mainid_loop_value(a, x, y, z, t, b, c) -> LoopElement:
-    f1 = lassoc(lassoc(lassoc(lassoc(a, x, y), z, b), t, c), b, c)
-    f2 = lassoc(lassoc(lassoc(lassoc(a, x, z), y, b), t, c), b, c)
-    f3 = lassoc(lassoc(lassoc(lassoc(a, x, t), y, b), z, c), b, c)
-    f4 = lassoc(lassoc(lassoc(lassoc(a, x, b), y, z), t, c), b, c)
-    f5 = lassoc(lassoc(lassoc(lassoc(a, x, c), y, z), t, b), b, c)
-    f6 = lassoc(lassoc(lassoc(lassoc(a, x, b), y, c), z, t), b, c)
-    out = lmul(f1, f2)
-    out = lmul(out, linv(f3))
-    out = lmul(out, f4)
-    out = lmul(out, f5)
-    return lmul(out, f6)
+    """The six-factor relation on loop elements, letter i read as argument
+    i: each factor with a nonzero coefficient is its chain tree with one
+    ``lassoc`` per node, and once all are made they are multiplied left to
+    right, one with coefficient 2 inverted."""
+    args = (a, x, y, z, t, b, c)
+
+    def value(tree):
+        if isinstance(tree, int):
+            return args[tree]
+        return lassoc(*map(value, tree))
+
+    factors = [(coeff, value(tree))
+               for coeff, tree in _mainid_relation() if coeff]
+    return functools.reduce(
+        lmul, (linv(f) if coeff == 2 else f for coeff, f in factors))
 
 
 def mainid_check(mode: str, samples: int = 100, seed: int = 0) -> list[dict]:
     """The six-factor identity that decides the seven-generator case.
 
-    algebra mode: the span of the seven candidate basis words of the (5,2)
-    case admits exactly one relation; its combination must vanish.
-    loop mode: the corresponding six-factor associator product must be the
-    identity element, on loop generators and on seeded loop words.
+    Both modes read ``cml3.schemas.FIVE_TWO_RELATION``.  algebra mode:
+    its chain trees, letter i at generator i, must vanish (``_vanishes``).
+    loop mode: its associator product must be the identity element, on
+    loop generators and on seeded loop words.
     """
     if mode == "algebra":
-        from . import twowords
-
-        total: dict = {}
-        values = twowords.word_values(twowords.FIVE_TWO_WORDS)
-        for coeff, value in zip(MAINID_COEFFS, values):
-            _add_into(total, value, coeff)
-        witness = "canonical generators" if total else None
+        relations = (_mainid_relation(),)
+        syms = [pack_sym(g) for g in range(_arity(relations))]
+        witness = (None if _vanishes(relations, syms, {})
+                   else "canonical generators")
         return [_entry("mainid_algebra_combination", 1, witness)]
     if mode == "loop":
         rng = random.Random(seed)

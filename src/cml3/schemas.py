@@ -5,8 +5,9 @@ A schema is written with placeholder letters, one string per pair
 terms with every letter replaced by its position in ``letters``, so an
 instantiation is a tuple indexed by position: ``twowords`` builds relation
 rows from such tuples and ``loop`` checks that each one vanishes in the
-algebra.  This module imports only the value-class base from the package,
-so the identity suite reads the schemas without loading ``twowords``.
+algebra, as it checks the six-factor relation of ``loop.mainid_check``.
+This module imports only the value-class base from the package, so the
+identity suite and ``mainid`` read it without loading ``twowords``.
 """
 
 from __future__ import annotations
@@ -109,3 +110,17 @@ RELATION_SETS = {
 
 # Default relation set per supported case.
 CASE_SETS = {"5": "X", "5,1": "Y", "7": "Z1", "5,2": "Z2"}
+
+# The six-factor relation: (coefficient, 2-word) on the seven candidate
+# basis words of the (5,2) case, doubled letters b = 5, c = 6 above the
+# four single letters, under head letter 0.
+FIVE_TWO_RELATION = (
+    (1, (1, 2, 3, 5, 4, 6, 5, 6)),
+    (1, (1, 3, 2, 5, 4, 6, 5, 6)),
+    (0, (2, 3, 1, 5, 4, 6, 5, 6)),
+    (2, (1, 4, 2, 5, 3, 6, 5, 6)),
+    (1, (1, 5, 2, 3, 4, 6, 5, 6)),
+    (1, (1, 6, 2, 3, 4, 5, 5, 6)),
+    (1, (1, 5, 2, 6, 3, 4, 5, 6)),
+)
+FIVE_TWO_WORDS = tuple(word for _, word in FIVE_TWO_RELATION)

@@ -19,7 +19,9 @@ above.  An instantiation is a tuple of case letters indexed by schema
 letter position, its signed pair blocks are built once from the schema's
 position-indexed terms, an instantiation whose blocks repeat an earlier
 one's is skipped, each arrangement of the remaining letters is made once,
-and then a row costs one word-index lookup per term.
+and then a row costs one word-index lookup per term.  The seven candidate
+basis words of the (5,2) case, ``FIVE_TWO_WORDS``, are re-exported from
+``cml3.schemas`` too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from functools import lru_cache
 from ._kernel import pack_sym
 from ._value import Value
 from .gf3 import rank_only
-from .schemas import CASE_SETS, RELATION_SETS, SCHEMAS, RelationSchema
+from .schemas import (CASE_SETS, FIVE_TWO_WORDS,  # noqa: F401
+                      RELATION_SETS, SCHEMAS, RelationSchema)
 from .words import TypeVector, _as_type, _chain, _eval_tree
 
 
@@ -202,29 +205,29 @@ def _signed_blocks(schema: RelationSchema, assign: tuple[int, ...]):
 
 
 def _span_rows_indexed(case: TypeVector, relation_set: str, words):
-    """Span rows as dicts keyed by universe index, deduplicated up to scalar.
+    """Span rows as dicts keyed by descending position in ``words``, which
+    is ``universe(case)``, so the eliminator pivots on the largest word.
 
     Every instantiation of every schema in the set occupies a contiguous
     pair block at every offset, and the remaining case letters fill the
     other slots in every arrangement; terms whose pairs degenerate under
-    the instantiation vanish.  ``words`` is ``universe(case)``, so index
-    order is word order.
+    the instantiation vanish.  Rows are kept as built, repeats too: the
+    pivots depend only on the span.
 
     Each instantiation's signed blocks are built once; a row is then one
     index lookup per term, of the fill's head, the block and the fill's
     tail, all flat tuples.  An instantiation whose schema length and
     signed blocks, as a multiset, repeat an earlier one's makes the same
-    rows again, which are all in the list already, so it is skipped.
+    rows again, so it is skipped.
     """
     counts = case_letters(case)
     word_len = sum(counts.values()) // 2
     if word_len == 0:
         return []
-    index = {w: i for i, w in enumerate(words)}
+    top = len(words) - 1
+    index = {w: top - i for i, w in enumerate(words)}
     rows: list[dict] = []
-    seen: set = set()
     seen_blocks: set = set()
-    fill_cache: dict = {}
     for name in RELATION_SETS[relation_set]:
         schema = SCHEMAS[name]
         if schema.length > word_len:
@@ -233,27 +236,20 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
                 f"case {case} has {word_len}"
             )
         need = schema.pos_counts
-        # Every block holds the instantiation's whole letter multiset, so
-        # the blocks fix the remaining letters too.  The length byte fixes
-        # the block width, so a key's bytes parse one way only.
-        length = bytes((schema.length,))
         for assign in _instantiations(schema, counts):
             blocks = _signed_blocks(schema, assign)
             if not blocks:
                 continue
-            key = length + b"".join(
-                sorted([bytes((sign,) + block) for sign, block in blocks]))
-            if key in seen_blocks:
+            # Every block holds the instantiation's whole letter multiset,
+            # so the blocks fix the remaining letters too.
+            signature = (schema.length, *sorted(blocks))
+            if signature in seen_blocks:
                 continue
-            seen_blocks.add(key)
+            seen_blocks.add(signature)
             rem = dict(counts)
             for p, letter in enumerate(assign):
                 rem[letter] -= need[p]
-            remaining = tuple((k, rem[k]) for k in sorted(rem) if rem[k])
-            fills = fill_cache.get(remaining)
-            if fills is None:
-                fills = list(_pairings(dict(remaining)))
-                fill_cache[remaining] = fills
+            fills = list(_pairings(rem))
             for offset in range(word_len - schema.length + 1):
                 for fill in fills:
                     head, tail = fill[:2 * offset], fill[2 * offset:]
@@ -265,14 +261,8 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
                             row[key] = c
                         else:
                             row.pop(key, None)
-                    if not row:
-                        continue
-                    items = tuple(sorted(row.items()))
-                    if items[0][1] == 2:
-                        items = tuple((k, (2 * c) % 3) for k, c in items)
-                    if items not in seen:
-                        seen.add(items)
-                        rows.append(dict(items))
+                    if row:
+                        rows.append(row)
     return rows
 
 
@@ -311,11 +301,8 @@ def regular_words(
 def _regular_cached(counts: tuple[int, ...], relation_set: str) -> RegularReport:
     case = TypeVector(counts)
     words = universe(case)
-    rows = _span_rows_indexed(case, relation_set, words)
-    # Re-key by position in descending order so the smallest-key pivoting of
-    # the eliminator picks the largest word first.
+    _, pivot_keys = rank_only(_span_rows_indexed(case, relation_set, words))
     top = len(words) - 1
-    _, pivot_keys = rank_only([{top - i: c for i, c in row.items()} for row in rows])
     irregular = {words[top - i] for i in pivot_keys}
     regular = tuple(w for w in words if w not in irregular)
     return RegularReport(
@@ -366,19 +353,6 @@ def pattern_predicates_case7(word: tuple[int, ...]) -> tuple[str, int | None]:
                 if i > t and j > p and q > r:
                     return ("irregular", 3)
     return ("regular", None)
-
-
-# The seven candidate basis words of the (5,2) case, with doubled letters
-# b = 5, c = 6 above the four single letters.
-FIVE_TWO_WORDS = (
-    (1, 2, 3, 5, 4, 6, 5, 6),
-    (1, 3, 2, 5, 4, 6, 5, 6),
-    (2, 3, 1, 5, 4, 6, 5, 6),
-    (1, 4, 2, 5, 3, 6, 5, 6),
-    (1, 5, 2, 3, 4, 6, 5, 6),
-    (1, 6, 2, 3, 4, 5, 5, 6),
-    (1, 5, 2, 6, 3, 4, 5, 6),
-)
 
 
 def linearize(

@@ -582,15 +582,17 @@ def test_no_command_loads_dataclasses():
 
 
 def test_loop_suites_leave_twowords_unloaded():
-    # loop imports twowords only for the relation schemas and the 5,2 words
+    # loop reads the relation schemas and the (5,2) relation from
+    # cml3.schemas, so neither mainid mode loads twowords
     commands = [
         ["verify", "--suite", "cml3", "--n", "4", "--samples", "3"],
         ["verify", "--suite", "malbos", "--n", "4", "--samples", "20"],
         ["mainid", "--mode", "loop", "--samples", "1", "--seed", "2"],
+        ["mainid", "--mode", "algebra"],
         ["tah"],
     ]
     assert _modules_loaded(commands, {}) == (
-        [[]] + [["cml3.loop"]] * 4 + ["miss"])
+        [[]] + [["cml3.loop"]] * 5 + ["miss"])
 
 
 def test_identity_suite_leaves_twowords_unloaded():

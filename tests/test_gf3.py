@@ -231,20 +231,22 @@ def test_key_types_share_one_order():
 
 
 def test_pinned_relation_span_and_word_span():
-    # the relation span of case 5,2 (3987 rows over its 468 words, keyed by
-    # index in ascending word order): the seven columns without a pivot are
-    # the case's regular words
+    # the relation span of case 5,2 (4293 rows over its 468 words, keyed by
+    # position in descending word order): the seven columns without a pivot
+    # are the case's regular words
     case = words.TypeVector.parse("5,2")
     case_words = universe(case)
     rows = _span_rows_indexed(case, "Z2", case_words)
     rank, pivots = rank_only(rows)
     cols = sorted({k for row in rows for k in row})
-    assert (len(rows), len(cols), rank) == (3987, 468, 461)
+    assert (len(rows), len(cols), rank) == (4293, 468, 461)
     assert list(pivots) == sorted(pivots)
     free = set(cols) - set(pivots)
-    assert [word_str(case_words[i]) for i in cols if i in free] == [
-        "56.34.26.15", "56.45.23.16", "56.36.25.14", "56.46.23.15",
-        "56.46.15.23", "56.46.25.13", "56.46.35.12",
+    top = len(case_words) - 1
+    assert [word_str(case_words[top - k]) for k in reversed(cols)
+            if k in free] == [
+        "12.35.46.56", "13.25.46.56", "23.15.46.56", "14.25.36.56",
+        "15.23.46.56", "15.26.34.56", "16.23.45.56",
     ]
 
     # h(7,1) = 28: its span basis has 28 values over 128 monomials; the

@@ -454,7 +454,10 @@ def test_cml3_walks_the_generator_triples(monkeypatch, cold_memo):
         tracemalloc.stop()
     assert report_passed(report)
     assert peak < 2**20
-    # generator i first appears in the triple (0, 0, i), its label
+    # a corrupted square of generator 2 alone breaks the relabelling
+    # symmetry: generator 0 computes exponent 3 for every generator, so the
+    # orbit run passes, and the every-tuple reference names generator 2 by
+    # the triple (0, 0, i) where generator i first appears
     gen2 = loop_generator(2).value
 
     def corrupted(x, y):
@@ -463,19 +466,26 @@ def test_cml3_walks_the_generator_triples(monkeypatch, cold_memo):
 
     monkeypatch.setattr(loop, "cmul", corrupted)
     lmul.cache_clear()
-    assert [e for e in verify_cml3(5, 0, 0) if not e["pass"]] == [{
+    assert report_passed(verify_cml3(5, 0, 0))
+    every_tuple(monkeypatch)
+    lmul.cache_clear()
+    assert _entries(verify_cml3(5, 0, 0))["exponent3"] == {
         "identity": "exponent3", "instantiation": "5 instantiation(s)",
-        "pass": False, "witness": "gen(0,0,2)"}]
+        "pass": False, "witness": "gen(0,0,2)"}
 
 
-@pytest.mark.parametrize("n", [7, 60])
-def test_generator_half_does_not_grow_with_n(monkeypatch, n):
-    # one triple per orbit: 5 at any n >= 3; exponent 3 on each generator
+@pytest.mark.parametrize("n", [7, 60, 4096])
+def test_generator_half_does_not_grow_with_n(monkeypatch, cold_memo, n):
+    # one triple per orbit: 5 at any n >= 3; exponent 3 on generator 0
+    # alone, the generators being one orbit too.  So the loop products
+    # made, 34, do not grow with n either
     calls = record_checks(monkeypatch)
     report = verify_cml3(n, 0, 0)
     assert report_passed(report)
-    assert [len(verdicts) for verdicts in calls] == [5, 5, n, 5]
+    assert [len(verdicts) for verdicts in calls] == [5, 5, 1, 5]
     assert report[0]["instantiation"] == f"{n ** 3} instantiation(s)"
+    assert report[2]["instantiation"] == f"{n} instantiation(s)"
+    assert lmul.cache_info().misses == 34
 
 
 MALBOS_ONE = ({}, {})
@@ -642,6 +652,24 @@ def test_mainid_loop_collapsed_slots():
     b = gens[5]
     value = _mainid_loop_value(gens[0], gens[1], gens[2], gens[3], gens[4], b, b)
     assert value.is_one()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda c, w: (1 if c == 2 else c, w),
+    lambda c, w: (c or 1, w),
+], ids=["coefficient_2_as_1", "coefficient_0_as_1"])
+def test_mainid_fails_on_a_corrupted_relation(monkeypatch, corrupt):
+    # both modes read the one relation: coefficient 2 read as 1, or
+    # coefficient 0 as 1
+    from cml3 import schemas
+
+    monkeypatch.setattr(schemas, "FIVE_TWO_RELATION", tuple(
+        corrupt(c, w) for c, w in schemas.FIVE_TWO_RELATION))
+    assert mainid_check("algebra") == [{
+        "identity": "mainid_algebra_combination",
+        "instantiation": "1 instantiation(s)", "pass": False,
+        "witness": "canonical generators"}]
+    assert mainid_check("loop", 1, 0)[0]["witness"] == "generators"
 
 
 def test_mainid_bad_mode():

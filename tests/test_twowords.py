@@ -170,15 +170,20 @@ def test_regular_result_independent_of_row_order():
     from cml3.twowords import _span_rows_indexed
 
     case = TypeVector.parse("5,1")
-    words = universe(case)
-    rows = _span_rows_indexed(case, "Y", words)
-    top = len(words) - 1
-    rekeyed = [{top - i: c for i, c in row.items()} for row in rows]
-    base = rank_only(rekeyed)
+    rows = _span_rows_indexed(case, "Y", universe(case))
+    base = rank_only(rows)
     rng = random.Random(0)
     for _ in range(5):
-        rng.shuffle(rekeyed)
-        assert rank_only(rekeyed) == base
+        rng.shuffle(rows)
+        assert rank_only(rows) == base
+    # nor on repeated rows, or rows times 2: the span rows are not
+    # deduplicated
+    doubled = [{k: 2 * c % 3 for k, c in row.items()} for row in rows]
+    for extra in (rows, doubled, rng.sample(rows + doubled, 50)):
+        mixed = rows + extra
+        rng.shuffle(mixed)
+        assert rank_only(mixed) == base
+        assert rank_only(extra + rows) == base
 
 
 # The span rows as built from the string patterns, with a letter dict per
@@ -232,12 +237,14 @@ def _oracle_signed_blocks(schema, assign):
 
 
 def _oracle_span_rows(case, relation_set, words):
+    """For each instantiation with a nonzero term: its signature, the
+    schema length and its signed blocks as a multiset, and its rows,
+    keyed by descending word position."""
     from cml3.twowords import RELATION_SETS, _pairings
 
     counts = case_letters(case)
     word_len = sum(counts.values()) // 2
-    index = {w: i for i, w in enumerate(words)}
-    rows, seen, fill_cache = [], set(), {}
+    index = {w: len(words) - 1 - i for i, w in enumerate(words)}
     for name in RELATION_SETS[relation_set]:
         schema = SCHEMAS[name]
         need = _string_multiset(schema)
@@ -248,11 +255,8 @@ def _oracle_span_rows(case, relation_set, words):
             rem = dict(counts)
             for p, letter in assign.items():
                 rem[letter] -= need[p]
-            remaining = tuple((k, rem[k]) for k in sorted(rem) if rem[k])
-            fills = fill_cache.get(remaining)
-            if fills is None:
-                fills = list(_pairings(dict(remaining)))
-                fill_cache[remaining] = fills
+            fills = list(_pairings(rem))
+            rows = []
             for offset in range(word_len - schema.length + 1):
                 for fill in fills:
                     head, tail = fill[:2 * offset], fill[2 * offset:]
@@ -264,15 +268,9 @@ def _oracle_span_rows(case, relation_set, words):
                             row[key] = c
                         else:
                             row.pop(key, None)
-                    if not row:
-                        continue
-                    items = tuple(sorted(row.items()))
-                    if items[0][1] == 2:
-                        items = tuple((k, (2 * c) % 3) for k, c in items)
-                    if items not in seen:
-                        seen.add(items)
-                        rows.append(dict(items))
-    return rows
+                    if row:
+                        rows.append(row)
+            yield (schema.length, *sorted(blocks)), rows
 
 
 @pytest.mark.parametrize("case", ["5", "5,1", "7", "5,2"])
@@ -291,11 +289,16 @@ def test_span_rows_match_the_string_patterns(case):
             assert (_signed_blocks(schema, position_assign)
                     == _oracle_signed_blocks(schema, assign))
     words = universe(tv)
+    first: dict = {}
+    for signature, rows in _oracle_span_rows(tv, relation_set, words):
+        # an instantiation whose signature repeats makes the same rows
+        assert rows == first.setdefault(signature, rows)
     rows = _span_rows_indexed(tv, relation_set, words)
-    # the same rows in the same order, each with its keys in the same order
+    # the first instantiation of each signature: the same rows in the same
+    # order, each with its keys in the same order
     assert ([list(row.items()) for row in rows]
             == [list(row.items())
-                for row in _oracle_span_rows(tv, relation_set, words)])
+                for group in first.values() for row in group])
 
 
 def test_compiled_schemas_index_their_letters():
