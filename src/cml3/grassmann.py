@@ -54,6 +54,13 @@ def mono_str(key: int) -> str:
         for s in positions(key)) + "]"
 
 
+# An int hashes mod 2**61 - 1, where 1 << k repeats with period 61 in k,
+# so GElement's hash reduces each key by this prime first.  It is the
+# largest prime below 2**30, one digit of a Python int, so a key of any
+# width reduces in one pass.
+_HASH_PRIME = (1 << 30) - 35
+
+
 class GElement:
     """A GF(3) linear combination of exterior monomials."""
 
@@ -107,7 +114,8 @@ class GElement:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(zip(
+                map(_HASH_PRIME.__rmod__, self._terms), self._terms.values())))
             return self._hash
 
     def __add__(self, other: "GElement") -> "GElement":

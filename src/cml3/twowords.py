@@ -19,9 +19,12 @@ above.  An instantiation is a tuple of case letters indexed by schema
 letter position, its signed pair blocks are built once from the schema's
 position-indexed terms, an instantiation whose blocks repeat an earlier
 one's is skipped, each arrangement of the remaining letters is made once,
-and then a row costs one word-index lookup per term.  The seven candidate
-basis words of the (5,2) case, ``FIVE_TWO_WORDS``, are re-exported from
-``cml3.schemas`` too.
+and then a row costs one word-index lookup per term.  Letters that a
+schema treats alike form symmetry classes, derived once per schema from
+its terms; permuting the letters of a class leaves an instantiation's
+blocks unchanged, so only the instantiations that are non-decreasing
+within each class are made.  The seven candidate basis words of the (5,2)
+case, ``FIVE_TWO_WORDS``, are re-exported from ``cml3.schemas`` too.
 """
 
 from __future__ import annotations
@@ -152,33 +155,6 @@ def catalog_order(words: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 # relation spans and regular words
 # ---------------------------------------------------------------------------
 
-def _instantiations(schema: RelationSchema, counts: dict[int, int]):
-    """Letter maps (not necessarily injective) whose image fits the case.
-
-    Each is a tuple giving the case letter of every schema letter, by the
-    schema letter's position.
-    """
-    letters = sorted(counts)
-    need = schema.pos_counts
-    size = len(need)
-    acc = [0] * size
-
-    def rec(i: int, used: dict[int, int]):
-        if i == size:
-            yield tuple(acc)
-            return
-        for letter in letters:
-            total = used.get(letter, 0) + need[i]
-            if total > counts[letter]:
-                continue
-            used[letter] = total
-            acc[i] = letter
-            yield from rec(i + 1, used)
-            used[letter] -= need[i]
-
-    yield from rec(0, {})
-
-
 def _signed_blocks(schema: RelationSchema, assign: tuple[int, ...]):
     """An instantiation's terms as (sign mod 3, canonical pair block).
 
@@ -204,6 +180,70 @@ def _signed_blocks(schema: RelationSchema, assign: tuple[int, ...]):
     return blocks
 
 
+@lru_cache(maxsize=None)
+def _class_prev(schema: RelationSchema) -> tuple[int, ...]:
+    """For each schema letter position, the one before it in its
+    symmetry class, or -1.
+
+    Two letters are interchangeable when they occur equally often and
+    swapping them leaves the schema's signed blocks, as a multiset,
+    unchanged; the classes are the connected components of those swaps.
+    The swaps of a class generate every permutation of it, so they all
+    leave the signed blocks of any instantiation unchanged too.
+    """
+    size = len(schema.pos_counts)
+    ident = tuple(range(size))
+    base = sorted(_signed_blocks(schema, ident))
+    root = list(ident)
+    for q in range(size):
+        for p in range(q):
+            if schema.pos_counts[p] != schema.pos_counts[q]:
+                continue
+            swap = list(ident)
+            swap[p], swap[q] = q, p
+            if sorted(_signed_blocks(schema, tuple(swap))) == base:
+                rp, rq = root[p], root[q]
+                root = [rp if r == rq else r for r in root]
+    return tuple(max((p for p in range(q) if root[p] == root[q]), default=-1)
+                 for q in range(size))
+
+
+def _instantiations(schema: RelationSchema, counts: dict[int, int]):
+    """Letter maps (not necessarily injective) whose image fits the case,
+    one per orbit of the schema's symmetry classes, in lexicographic
+    order.
+
+    Each is a tuple giving the case letter of every schema letter, by the
+    schema letter's position.  Within a symmetry class (``_class_prev``)
+    the letters are non-decreasing in position order, which keeps of each
+    orbit its lexicographically first member; the others have the same
+    signed blocks.
+    """
+    letters = sorted(counts)
+    need = schema.pos_counts
+    prev = _class_prev(schema)
+    size = len(need)
+    acc = [0] * size
+
+    def rec(i: int, used: dict[int, int]):
+        if i == size:
+            yield tuple(acc)
+            return
+        low = acc[prev[i]] if prev[i] >= 0 else letters[0]
+        for letter in letters:
+            if letter < low:
+                continue
+            total = used.get(letter, 0) + need[i]
+            if total > counts[letter]:
+                continue
+            used[letter] = total
+            acc[i] = letter
+            yield from rec(i + 1, used)
+            used[letter] -= need[i]
+
+    yield from rec(0, {})
+
+
 def _span_rows_indexed(case: TypeVector, relation_set: str, words):
     """Span rows as dicts keyed by descending position in ``words``, which
     is ``universe(case)``, so the eliminator pivots on the largest word.
@@ -216,9 +256,15 @@ def _span_rows_indexed(case: TypeVector, relation_set: str, words):
 
     Each instantiation's signed blocks are built once; a row is then one
     index lookup per term, of the fill's head, the block and the fill's
-    tail, all flat tuples.  An instantiation whose schema length and
-    signed blocks, as a multiset, repeat an earlier one's makes the same
-    rows again, so it is skipped.
+    tail, all flat tuples.  ``_instantiations`` makes one instantiation
+    per orbit of the schema's symmetry classes, the orbit's first in
+    lexicographic order; on the (5,2) case that is 173, 1,092, 828 and 12
+    of the 606, 5,400, 5,400 and 48 letter maps of X, g1, g2 and g3.  An
+    instantiation whose schema length and signed blocks, as a multiset,
+    repeat an earlier one's makes the same rows again, so it is skipped:
+    2,019 of those 2,105 build rows.  The walk reaches every signature the
+    full walk does, first by the same instantiation, so the rows and their
+    order are the full walk's.
     """
     counts = case_letters(case)
     word_len = sum(counts.values()) // 2

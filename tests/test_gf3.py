@@ -194,6 +194,29 @@ def test_rank_only_matches_rank_and_kernel():
         assert pivots == full.pivot_keys
 
 
+def test_rank_only_ignores_the_feed_order():
+    # rank_only feeds its rows in descending lead order; the pivots are a
+    # property of the span, so no input order changes them
+    rng = random.Random(5)
+    systems = [_random_rows(rng, rng.randrange(1, 10), rng.randrange(1, 7))
+               for _ in range(25)]
+    systems += [_dependent_rows(rng, rng.randrange(1, 9), rng.randrange(1, 70))
+                for _ in range(10)]
+    case = words.TypeVector.parse("5,2")
+    systems.append(_span_rows_indexed(case, "Z2", universe(case)))
+    for rows in systems:
+        # the leads of the echelon basis fed in input order
+        keys, planes = gf3._planes(rows)
+        leads = sorted(gf3._echelon(planes))
+        expected = (len(leads), tuple(keys[lead.bit_length() - 1]
+                                      for lead in leads))
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        for feed in (rows, rows[::-1], shuffled):
+            assert rank_only(feed) == expected
+    assert expected[0] == 461
+
+
 def test_one_pass_generator_rows():
     # each entry point reads its rows once, so a generator gives what the
     # list gives

@@ -169,3 +169,11 @@ def test_hash_ignores_insertion_order():
     b = GElement.generator(1) + GElement.generator(0) + GElement.one()
     assert list(a.raw()) != list(b.raw())
     assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_hash_separates_far_apart_symbols():
+    # an int key hashes mod 2**61 - 1, where one-symbol monomials repeat
+    # with period 61 in their bit: with the keys hashed bare, the 4096
+    # loop generators 1 + g_i get only 61 distinct hashes
+    values = [GElement.one() + GElement.generator(i) for i in range(4096)]
+    assert len({hash(v) for v in values}) >= 4000

@@ -273,21 +273,7 @@ def _oracle_span_rows(case, relation_set, words):
             yield (schema.length, *sorted(blocks)), rows
 
 
-@pytest.mark.parametrize("case", ["5", "5,1", "7", "5,2"])
-def test_span_rows_match_the_string_patterns(case):
-    from cml3.twowords import _instantiations, _signed_blocks, _span_rows_indexed
-
-    tv = TypeVector.parse(case)
-    relation_set = CASE_SETS[case]
-    counts = case_letters(tv)
-    for name in RELATION_SETS[relation_set]:
-        schema = SCHEMAS[name]
-        expected = list(_oracle_instantiations(schema, counts))
-        got = list(_instantiations(schema, counts))
-        assert got == [tuple(a[x] for x in schema.letters) for a in expected]
-        for assign, position_assign in zip(expected, got):
-            assert (_signed_blocks(schema, position_assign)
-                    == _oracle_signed_blocks(schema, assign))
+def _assert_rows_match_the_oracle(tv, relation_set):
     words = universe(tv)
     first: dict = {}
     for signature, rows in _oracle_span_rows(tv, relation_set, words):
@@ -299,6 +285,76 @@ def test_span_rows_match_the_string_patterns(case):
     assert ([list(row.items()) for row in rows]
             == [list(row.items())
                 for group in first.values() for row in group])
+
+
+def _signature(schema, blocks):
+    return (schema.length, *sorted(blocks))
+
+
+@pytest.mark.parametrize("case", ["5", "5,1", "7", "5,2"])
+def test_span_rows_match_the_string_patterns(case):
+    from cml3.twowords import _instantiations, _signed_blocks
+
+    tv = TypeVector.parse(case)
+    relation_set = CASE_SETS[case]
+    counts = case_letters(tv)
+    for name in RELATION_SETS[relation_set]:
+        schema = SCHEMAS[name]
+        walk = []
+        full = set()
+        for assign in _oracle_instantiations(schema, counts):
+            walk.append(tuple(assign[x] for x in schema.letters))
+            blocks = _signed_blocks(schema, walk[-1])
+            assert blocks == _oracle_signed_blocks(schema, assign)
+            full.add(_signature(schema, blocks))
+        # one instantiation per symmetry orbit, in the full walk's order,
+        # reaches every signature the full walk does
+        got = list(_instantiations(schema, counts))
+        assert set(got) <= set(walk) and got == sorted(got)
+        assert {_signature(schema, _signed_blocks(schema, assign))
+                for assign in got} == full, name
+    _assert_rows_match_the_oracle(tv, relation_set)
+
+
+def test_a_broken_symmetry_leaves_no_classes(monkeypatch):
+    # X with one coefficient flipped: no letter swap keeps its terms, so
+    # every letter map is made, and the rows still follow the oracle
+    from cml3.schemas import RelationSchema
+    from cml3.twowords import _class_prev
+
+    terms = list(SCHEMAS["X"].terms)
+    terms[1] = (2, terms[1][1])
+    flipped = RelationSchema("X'", tuple(terms))
+    assert _class_prev(SCHEMAS["X"]) == (-1, -1, 1, 0)
+    assert _class_prev(flipped) == (-1, -1, -1, -1)
+    monkeypatch.setitem(SCHEMAS, "X'", flipped)
+    monkeypatch.setitem(RELATION_SETS, "X'", ("X'",))
+    for case in ("5", "5,2"):
+        _assert_rows_match_the_oracle(TypeVector.parse(case), "X'")
+
+
+def test_instantiation_and_signature_counts():
+    # the work of the span rows, as counts: instantiations per schema, one
+    # per symmetry orbit, and the signatures that build rows
+    from cml3.twowords import _instantiations, _signed_blocks
+
+    expected = {
+        "7": {"X": 90, "g1": 120, "g2": 90},
+        "5,2": {"X": 173, "g1": 1092, "g2": 828, "g3": 12},
+    }
+    signatures = {"7": 255, "5,2": 2019}
+    for case, per_schema in expected.items():
+        counts = case_letters(TypeVector.parse(case))
+        seen = set()
+        for name, count in per_schema.items():
+            schema = SCHEMAS[name]
+            got = list(_instantiations(schema, counts))
+            assert len(got) == count, (case, name)
+            seen.update(_signature(schema, _signed_blocks(schema, assign))
+                        for assign in got
+                        if _signed_blocks(schema, assign))
+        assert tuple(per_schema) == RELATION_SETS[CASE_SETS[case]]
+        assert len(seen) == signatures[case], case
 
 
 def test_compiled_schemas_index_their_letters():
